@@ -54,14 +54,13 @@ void PrintSeries(const char* label, dynaprox::sim::LatencyParams latency,
   }
 }
 
-// --- Measured TTFB: buffered vs streaming scan-and-splice ----------------
+// --- Measured TTFB: the DPC's scan-and-splice pipeline ------------------
 //
 // A paced origin emits a template in 16KB chunks, ~250us apart (a stand-in
-// for generation time at the application server). The buffered DPC cannot
-// answer until the last chunk lands, so its time-to-first-byte grows
-// linearly with template size; the streaming DPC flushes assembled head
-// bytes as they resolve, so TTFB stays at roughly one chunk regardless of
-// size.
+// for generation time at the application server). The DPC flushes
+// assembled head bytes as they resolve, so time-to-first-byte stays at
+// roughly one chunk regardless of size, while the last byte arrives with
+// the last chunk.
 
 // Origin body stream: the template in paced chunks.
 class PacedTemplateStream : public dynaprox::http::BodyStream {
@@ -92,8 +91,7 @@ class PacedTemplateStream : public dynaprox::http::BodyStream {
 };
 
 // Client-measured time from sending the request to the first body byte,
-// and to the last, via the streaming client (works against both proxies:
-// a Content-Length response still yields its first chunk on arrival).
+// and to the last, via the streaming client.
 struct TtfbSample {
   double ttfb_ms = 0;
   double total_ms = 0;
@@ -131,11 +129,11 @@ constexpr dynaprox::MicroTime kPaceMicros = 250;
 
 void PrintTtfbSweep() {
   std::printf(
-      "--- measured TTFB: buffered vs streaming scan-and-splice ---\n"
+      "--- measured TTFB: DPC scan-and-splice pipeline ---\n"
       "(origin paces the template at 16KB per %lldus; loopback sockets)\n",
       static_cast<long long>(kPaceMicros));
-  std::printf("%12s %14s %14s %14s %12s\n", "template", "buffered(ms)",
-              "streaming(ms)", "stream total", "TTFB ratio");
+  std::printf("%12s %14s %14s\n", "template", "first byte(ms)",
+              "last byte(ms)");
 
   for (size_t size : {size_t{4} << 10, size_t{64} << 10, size_t{256} << 10,
                       size_t{1} << 20}) {
@@ -161,45 +159,36 @@ void PrintTtfbSweep() {
     });
     if (!origin.Start().ok()) abort();
 
-    double ttfb_ms[2] = {0, 0};
-    double total_ms[2] = {0, 0};
-    for (int streaming = 0; streaming < 2; ++streaming) {
-      dynaprox::net::PooledTransportOptions pool_options;
-      pool_options.pool.max_connections = 2;
-      dynaprox::net::PooledClientTransport upstream(
-          "127.0.0.1", origin.port(), pool_options);
-      dynaprox::dpc::ProxyOptions options;
-      options.capacity = 64;
-      options.streaming = streaming == 1;
-      dynaprox::dpc::DpcProxy proxy(&upstream, options);
-      dynaprox::net::TcpServer front(proxy.AsHandler());
-      if (!front.Start().ok()) abort();
-      dynaprox::net::TcpClientTransport client("127.0.0.1", front.port());
-      dynaprox::http::Request request;
-      request.target = "/ttfb";
-      constexpr int kRounds = 5;
-      double best_ttfb = 1e9, best_total = 1e9;
-      for (int round = 0; round < kRounds; ++round) {
-        TtfbSample sample = MeasureOnce(client, request);
-        best_ttfb = std::min(best_ttfb, sample.ttfb_ms);
-        best_total = std::min(best_total, sample.total_ms);
-      }
-      ttfb_ms[streaming] = best_ttfb;
-      total_ms[streaming] = best_total;
-      front.Stop();
+    dynaprox::net::PooledTransportOptions pool_options;
+    pool_options.pool.max_connections = 2;
+    dynaprox::net::PooledClientTransport upstream("127.0.0.1", origin.port(),
+                                                  pool_options);
+    dynaprox::dpc::ProxyOptions options;
+    options.capacity = 64;
+    dynaprox::dpc::DpcProxy proxy(&upstream, options);
+    dynaprox::net::TcpServer front(proxy.AsHandler());
+    if (!front.Start().ok()) abort();
+    dynaprox::net::TcpClientTransport client("127.0.0.1", front.port());
+    dynaprox::http::Request request;
+    request.target = "/ttfb";
+    constexpr int kRounds = 5;
+    double best_ttfb = 1e9, best_total = 1e9;
+    for (int round = 0; round < kRounds; ++round) {
+      TtfbSample sample = MeasureOnce(client, request);
+      best_ttfb = std::min(best_ttfb, sample.ttfb_ms);
+      best_total = std::min(best_total, sample.total_ms);
     }
+    front.Stop();
     origin.Stop();
 
     char label[32];
     std::snprintf(label, sizeof(label), "%zuKB", size >> 10);
-    std::printf("%12s %14.2f %14.2f %14.2f %11.1fx\n", label, ttfb_ms[0],
-                ttfb_ms[1], total_ms[1],
-                ttfb_ms[1] > 0 ? ttfb_ms[0] / ttfb_ms[1] : 0.0);
+    std::printf("%12s %14.2f %14.2f\n", label, best_ttfb, best_total);
   }
   std::printf(
-      "expectation: buffered TTFB grows ~linearly with template size "
-      "(it is the full transfer), streaming TTFB stays ~flat at one "
-      "chunk's pacing\n");
+      "expectation: first byte stays ~flat at one chunk's pacing; last "
+      "byte grows ~linearly with template size (it is the full "
+      "transfer)\n");
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "appserver/session.h"
 #include "bem/monitor.h"
 #include "dpc/proxy.h"
+#include "net/connection_pool.h"
 #include "net/tcp.h"
 #include "storage/table.h"
 #include "storage/value.h"
@@ -150,8 +151,10 @@ int main() {
     std::printf("failed to start origin server\n");
     return 1;
   }
-  // ...DPC reverse proxy on another, upstreaming over TCP.
-  net::TcpClientTransport to_origin("127.0.0.1", origin_server.port());
+  // ...DPC reverse proxy on another, upstreaming over a connection pool:
+  // a cold-cache recovery round trip must not wait on the connection the
+  // template itself is still arriving on.
+  net::PooledClientTransport to_origin("127.0.0.1", origin_server.port());
   dpc::ProxyOptions proxy_options;
   proxy_options.capacity = 256;
   dpc::DpcProxy proxy(&to_origin, proxy_options);

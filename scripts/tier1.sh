@@ -37,12 +37,16 @@ ctest --test-dir build-asan --output-on-failure \
 # sizes 0/1/4) — together with the multi-worker servers in net_test/
 # integration_test and the edge-cluster peer channel in edge_test these
 # are the concurrency surfaces of the block-execution and edge-tier work.
-echo "== tier1: TSan (common/bem/appserver/net/edge/integration) =="
+# dpc_test drives the DPC's one pipeline over real sockets: committed
+# streams pulled on server threads, nested recovery round trips through
+# the upstream pool, and splices from the shared fragment store.
+echo "== tier1: TSan (common/bem/appserver/net/dpc/edge/integration) =="
 cmake -B build-tsan -S . -DDYNAPROX_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS" --target \
-  common_test bem_test appserver_test net_test edge_test integration_test
+  common_test bem_test appserver_test net_test dpc_test edge_test \
+  integration_test
 ctest --test-dir build-tsan --output-on-failure \
-  -R '^(common_test|bem_test|appserver_test|net_test|edge_test|integration_test)$'
+  -R '^(common_test|bem_test|appserver_test|net_test|dpc_test|edge_test|integration_test)$'
 
 # Deterministic chaos smoke: the seeded storm arms fault points across
 # every in-process layer and checks the four chaos invariants

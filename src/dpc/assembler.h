@@ -15,92 +15,94 @@
 
 namespace dynaprox::dpc {
 
-// Result of assembling one response template. The body is a buffer chain:
-// literals alias the retained template wire buffer, GET splices alias the
-// store's fragment buffers, and each SET payload is materialized exactly
-// once into a buffer shared by the store slot and the chain. Nothing is
-// flattened until (unless) a consumer insists on contiguous bytes.
+// Result of assembling one whole response template with AssemblePage. The
+// body is a buffer chain: literals alias the retained template wire
+// buffer, GET splices alias the store's fragment buffers, and each SET
+// payload is materialized exactly once into a buffer shared by the store
+// slot and the chain. Nothing is flattened until (unless) a consumer
+// insists on contiguous bytes.
 struct AssembledPage {
   common::BufferChain body;
   size_t set_count = 0;
   size_t get_count = 0;
   // dpcKeys whose GET found an empty slot (cold cache). When non-empty the
-  // page is incomplete; the proxy triggers miss recovery.
+  // page is incomplete.
   std::vector<bem::DpcKey> missing_keys;
-  // dpcKeys this page stored via SET, in template order. Edge clusters use
-  // this to replicate freshly-stored fragments to their ring owner.
+  // dpcKeys this page stored via SET, in template order.
   std::vector<bem::DpcKey> set_keys;
   // Copy-elimination accounting: bytes memcpy'd while building this page
   // (SET materialization only) vs bytes spliced in by reference (literals
-  // and GET fragments). Feeds the dpc_body_bytes_{copied,referenced}
-  // counters.
+  // and GET fragments).
   size_t bytes_copied = 0;
   size_t bytes_referenced = 0;
 
   bool complete() const { return missing_keys.empty(); }
-  // Flattens the chain; for tests and legacy callers, not the wire path.
+  // Flattens the chain; for tests, not the wire path.
   std::string Text() const { return body.Flatten(); }
 };
 
-// Stage timing of one AssemblePage call, for the proxy's per-stage
-// latency histograms. Three clock reads per page — one per stage
-// boundary — so the instrumentation cost is independent of page size.
-struct AssemblyTiming {
-  MicroTime scan_micros = 0;    // Template scan (ParseTemplate).
-  MicroTime splice_micros = 0;  // SET stores + GET splices + literal refs.
-};
-
-// Assembles a final page from a BEM template (paper 4.3.2): stores SET
-// payloads into `store`, splices GET payloads out of it. Fails only on a
-// corrupt template; cold-cache GET misses are reported via `missing_keys`.
-// The returned page's chain holds a reference to `wire`, so the template
-// bytes stay alive as long as the page does. When `clock` and `timing`
-// are both non-null, reports per-stage wall time into `timing`.
+// Assembles a final page from a whole BEM template (paper 4.3.2): stores
+// SET payloads into `store`, splices GET payloads out of it. Fails only on
+// a corrupt template; cold-cache GET misses are reported via
+// `missing_keys`. The returned page's chain holds a reference to `wire`,
+// so the template bytes stay alive as long as the page does.
+//
+// Not on the serving path: DpcProxy runs StreamingAssembler for every
+// response. This one-shot form is the reference the streaming pair is
+// checked against (streaming_scanner_test, the chunking fuzzer,
+// bench/page_assembly).
 Result<AssembledPage> AssemblePage(
     common::Buffer wire, FragmentStore& store,
-    ScanStrategy strategy = ScanStrategy::kMemchr,
-    const Clock* clock = nullptr, AssemblyTiming* timing = nullptr);
+    ScanStrategy strategy = ScanStrategy::kMemchr);
 
 // Convenience overload for callers holding plain bytes: copies `wire`
 // into a shared buffer first (the copy is the price of not owning one).
 Result<AssembledPage> AssemblePage(
     std::string_view wire, FragmentStore& store,
-    ScanStrategy strategy = ScanStrategy::kMemchr,
-    const Clock* clock = nullptr, AssemblyTiming* timing = nullptr);
+    ScanStrategy strategy = ScanStrategy::kMemchr);
 
-// Running totals of one streamed assembly; same meaning as the
-// AssembledPage fields of the buffered path.
+// Running totals of one streamed assembly.
 struct StreamProgress {
   size_t set_count = 0;
   size_t get_count = 0;
+  // Same meaning as the AssembledPage fields.
   size_t bytes_copied = 0;
   size_t bytes_referenced = 0;
+  // dpcKeys stored via SET, in template order. Edge clusters replicate
+  // these fragments to their ring owners.
+  std::vector<bem::DpcKey> set_keys;
+  // Wall time in the tag scan and in the SET stores + splices (the miss
+  // resolver's time excluded); zero without a clock.
+  MicroTime scan_micros = 0;
+  MicroTime splice_micros = 0;
 };
 
-// Incremental counterpart of AssemblePage: wraps a StreamingScanner and
+// Assembles a template arriving in chunks: wraps a StreamingScanner and
 // executes segments against the store the moment they resolve, so
 // assembled bytes reach `out` while the rest of the template is still in
 // flight. Holdback is the scanner's (open SET body + partial tag), never
 // the page.
 //
-// Cold-cache GET misses differ from the buffered path: there is no
-// missing_keys list to report after the fact, because the bytes before
-// the miss may already be on the wire. Instead an optional MissResolver
-// is consulted inline — the proxy's resolver performs the refresh round
-// trip upstream and re-reads the store — and when it is absent (or
-// fails) the miss fails the stream.
+// Cold-cache GET misses are resolved inline, once per Feed()/Finish()
+// call: the call's misses leave holes in its output, the MissResolver is
+// asked for all of them at once (the proxy peer-fills, then sends one
+// refresh round trip upstream), and the holes are filled by re-reading
+// the store. Without a resolver a miss fails the call with NotFound.
 class StreamingAssembler {
  public:
-  // Resolves a GET key the store does not hold. Returning an error aborts
-  // the stream with that status.
-  using MissResolver = std::function<Result<FragmentRef>(bem::DpcKey)>;
+  // Brings `keys` (one call's GET misses, template order, no duplicates)
+  // into the store. An error fails the Feed()/Finish() call with it.
+  using MissResolver = std::function<Status(const std::vector<bem::DpcKey>&)>;
 
+  // `clock` times the scan and splice stages (progress()); may be null.
   StreamingAssembler(FragmentStore& store,
                      ScanStrategy strategy = ScanStrategy::kMemchr,
-                     MissResolver miss_resolver = nullptr)
+                     MissResolver miss_resolver = nullptr,
+                     const Clock* clock = nullptr)
       : store_(store),
         scanner_(strategy),
-        miss_resolver_(std::move(miss_resolver)) {}
+        miss_resolver_(std::move(miss_resolver)),
+        clock_(clock) {}
 
   // Scans `bytes` (which must alias `*owner`), appending every assembled
   // byte that resolves within this chunk to `out`.
@@ -108,6 +110,9 @@ class StreamingAssembler {
               common::BufferChain& out);
   // Whole-buffer convenience; `chunk` may be null (empty feed).
   Status Feed(common::Buffer chunk, common::BufferChain& out);
+  // Scans every slice of `chunk` as one call, so its GET misses share one
+  // resolver call.
+  Status Feed(const common::BufferChain& chunk, common::BufferChain& out);
 
   // Ends the template: flushes the trailing literal, rejects truncation.
   Status Finish(common::BufferChain& out);
@@ -117,14 +122,27 @@ class StreamingAssembler {
   size_t buffered_bytes() const { return scanner_.buffered_bytes(); }
 
  private:
-  Status Execute(std::vector<StreamSegment>& segments,
+  // A GET miss and the output that followed it within one call.
+  struct Hole {
+    bem::DpcKey key;
+    common::BufferChain after;
+  };
+
+  MicroTime Now() const { return clock_ == nullptr ? 0 : clock_->NowMicros(); }
+  // Accounts the scan that began at `scan_start` and ended with
+  // `scanned`, then runs the segments it produced.
+  Status Execute(Status scanned, MicroTime scan_start,
                  common::BufferChain& out);
+  // Resolves the holes Execute left and splices them into `out`.
+  Status FillHoles(common::BufferChain& out);
 
   FragmentStore& store_;
   StreamingScanner scanner_;
   MissResolver miss_resolver_;
+  const Clock* clock_;
   StreamProgress progress_;
-  std::vector<StreamSegment> segments_;  // Reused across Feed calls.
+  std::vector<StreamSegment> segments_;  // Reused across calls.
+  std::vector<Hole> holes_;              // Reused across calls.
 };
 
 }  // namespace dynaprox::dpc

@@ -46,23 +46,23 @@ double MicrosToSeconds(MicroTime micros) {
 }
 
 // Upstream round trip behind the "dpc.upstream" fault point. Error-class
-// actions fail the fetch before it leaves the proxy; garbage substitutes
-// an unparseable template (the same detectable shape
+// actions fail the fetch before it leaves the proxy; garbage delivers an
+// unparseable template body (the same detectable shape
 // net::FaultInjectingTransport produces), which must surface as a clean
 // 502 — never as client bytes.
-Result<http::Response> ChaosRoundTrip(net::Transport* upstream,
-                                      const http::Request& request) {
+Result<net::StreamingResponse> ChaosRoundTrip(net::Transport* upstream,
+                                              const http::Request& request) {
   chaos::FaultDecision fault = chaos::ApplyDelay(
       DYNAPROX_FAULT_POINT("dpc.upstream")->Evaluate());
   switch (fault.action) {
     case chaos::FaultAction::kNone:
     case chaos::FaultAction::kDelayMs:
-      return upstream->RoundTrip(request);
+      return upstream->RoundTripStreaming(request);
     case chaos::FaultAction::kGarbage: {
       http::Response garbage =
           http::Response::MakeOk("\x02\x7f chaos garbage \x03");
       garbage.headers.Set(bem::kTemplateHeader, "1");
-      return garbage;
+      return net::StreamWhole(std::move(garbage));
     }
     default:
       return Status::Unavailable(
@@ -71,214 +71,121 @@ Result<http::Response> ChaosRoundTrip(net::Transport* upstream,
   }
 }
 
-// Everything a streamed body needs to finish the request's bookkeeping
-// after Handle() has already returned: metric handles (registry-backed,
-// atomic), the clock, the access log, and the log line's fields.
-struct StreamContext {
-  metrics::Counter* bytes_from_upstream = nullptr;
-  metrics::Counter* bytes_to_clients = nullptr;
-  metrics::Counter* upstream_errors = nullptr;
-  metrics::Counter* template_errors = nullptr;
-  metrics::Counter* stream_aborts = nullptr;
-  metrics::Counter* assembled = nullptr;
-  metrics::Counter* body_bytes_copied = nullptr;
-  metrics::Counter* body_bytes_referenced = nullptr;
-  metrics::LatencyHistogram* request_duration = nullptr;
-  const Clock* clock = nullptr;
-  AccessLogger* access_log = nullptr;  // May be null.
-  MicroTime start = 0;
-  std::string request_id;
-  std::string method;
-  std::string target;
-  int status = 200;
-  size_t max_template_bytes = 0;  // 0 = unlimited.
-};
-
-// Completion bookkeeping for a streamed response. Duration is measured to
-// the moment the body is fully produced (or abandoned), not to the last
-// socket flush — the proxy cannot see the hosting server's writes.
-void LogStreamCompletion(const StreamContext& ctx, const char* outcome,
-                         size_t bytes_sent) {
-  MicroTime elapsed = ctx.clock->NowMicros() - ctx.start;
-  ctx.request_duration->Observe(MicrosToSeconds(elapsed));
-  if (ctx.access_log != nullptr) {
-    AccessLogEntry entry;
-    entry.timestamp_micros = ctx.start;
-    entry.component = "dpc";
-    entry.request_id = ctx.request_id;
-    entry.method = ctx.method;
-    entry.target = ctx.target;
-    entry.status = ctx.status;
-    entry.bytes_sent = bytes_sent;
-    entry.duration_micros = elapsed;
-    entry.outcome = outcome;
-    ctx.access_log->Log(entry);
-  }
+// The body length a response head declares, if any.
+std::optional<size_t> DeclaredLength(const http::Response& head) {
+  std::optional<std::string_view> length = head.headers.Get("Content-Length");
+  if (!length.has_value()) return std::nullopt;
+  Result<uint64_t> parsed = ParseUint64(*length);
+  if (!parsed.ok()) return std::nullopt;
+  return static_cast<size_t>(*parsed);
 }
 
-// Streamed passthrough body: upstream chunks forwarded verbatim, with
-// per-chunk byte accounting and the completion bookkeeping at end of
-// body. Destruction before end of body (client went away) logs the
-// request as abandoned.
-class PassthroughStream : public http::BodyStream {
- public:
-  PassthroughStream(std::unique_ptr<http::BodyStream> upstream,
-                    StreamContext ctx)
-      : upstream_(std::move(upstream)), ctx_(std::move(ctx)) {}
-
-  ~PassthroughStream() override {
-    if (!completed_) Complete("stream_abandoned");
+std::string HexList(const std::vector<bem::DpcKey>& keys) {
+  std::string list;
+  for (bem::DpcKey key : keys) {
+    if (!list.empty()) list += ',';
+    list += ToHex(key);
   }
+  return list;
+}
 
-  Result<common::BufferChain> Next() override {
-    if (completed_) return common::BufferChain();
-    Result<common::BufferChain> chunk = upstream_->Next();
-    if (!chunk.ok()) {
-      ctx_.upstream_errors->Increment();
-      ctx_.stream_aborts->Increment();
-      Complete("stream_abort");
-      return chunk.status();
-    }
-    if (chunk->empty()) {
-      Complete("passthrough");
-      return chunk;
-    }
-    ctx_.bytes_from_upstream->Increment(chunk->size());
-    ctx_.bytes_to_clients->Increment(chunk->size());
-    sent_ += chunk->size();
-    return chunk;
+}  // namespace
+
+struct DpcProxy::Exchange {
+  Exchange() = default;
+  // The assembler's miss resolver holds this object's address.
+  Exchange(const Exchange&) = delete;
+  Exchange& operator=(const Exchange&) = delete;
+
+  std::string request_id;
+  MicroTime start = 0;
+  // The request as forwarded upstream; refresh round trips derive from it.
+  http::Request upstream_request;
+  const char* outcome = "error";  // The access-log outcome.
+  Failure failure = Failure::kNone;
+  // The upstream body while it is still being read (null once read to its
+  // end), the length its head declared, how much of it has arrived, and
+  // what Drain read ahead into memory but the pipeline has not yet fed.
+  std::unique_ptr<http::BodyStream> body;
+  std::optional<size_t> declared;
+  size_t received = 0;
+  common::BufferChain rest;
+  std::optional<StreamingAssembler> assembler;  // Templates only.
+  // A cache wants the delivered page (GET: a static-cacheable passthrough,
+  // or a 200 with serve-stale on).
+  bool keep = false;
+  // The pipeline delivered a page in full (not an early answer or error).
+  bool delivered = false;
+  // Committed streams: when the head went out, and the client-bound head
+  // whose body_chain collects the delivered bytes when `keep` is set.
+  std::optional<MicroTime> committed_at;
+  http::Response head;
+  int status = 0;   // Client response status.
+  size_t sent = 0;  // Body bytes handed to the client.
+
+  bool BodyArrived() const {
+    return body == nullptr || (declared.has_value() && received >= *declared);
   }
-
- private:
-  void Complete(const char* outcome) {
-    completed_ = true;
-    LogStreamCompletion(ctx_, outcome, sent_);
-  }
-
-  std::unique_ptr<http::BodyStream> upstream_;
-  StreamContext ctx_;
-  size_t sent_ = 0;
-  bool completed_ = false;
 };
 
-// Streamed scan-and-splice body: pulls template chunks from the upstream
-// stream, feeds the incremental assembler, and yields assembled output
-// the moment it resolves. Constructed at commit time with whatever the
-// prefetch in HandleStreaming already produced; failures from here on are
-// post-commit and abort the stream (the hosting server truncates the
-// chunked body).
-class AssemblingStream : public http::BodyStream {
+// Yields the output prefetched before commit, then pulls the rest of the
+// template through Pump, runs the completion step at end of body, and
+// truncates on any failure (the hosting server cuts the chunked body).
+// Destruction before end of body (client went away) completes the
+// request as abandoned.
+class DpcProxy::ServingStream : public http::BodyStream {
  public:
-  AssemblingStream(std::unique_ptr<http::BodyStream> upstream,
-                   StreamingAssembler assembler, common::BufferChain pending,
-                   size_t template_bytes, StreamContext ctx)
-      : upstream_(std::move(upstream)),
-        assembler_(std::move(assembler)),
-        pending_(std::move(pending)),
-        template_bytes_(template_bytes),
-        ctx_(std::move(ctx)) {}
+  ServingStream(DpcProxy* proxy, std::unique_ptr<Exchange> x,
+                common::BufferChain pending)
+      : proxy_(proxy), x_(std::move(x)), pending_(std::move(pending)) {}
 
-  ~AssemblingStream() override {
-    if (!completed_) Complete("stream_abandoned");
+  ~ServingStream() override {
+    if (completed_) return;
+    x_->outcome = "stream_abandoned";
+    Finish(nullptr);
   }
 
   Result<common::BufferChain> Next() override {
-    if (failed_) return failure_;
-    if (finished_) return common::BufferChain();
-    if (!pending_.empty()) {
-      common::BufferChain out = std::move(pending_);
-      pending_.Clear();
-      return Deliver(std::move(out));
+    if (!failure_.ok()) return failure_;
+    if (completed_) return common::BufferChain();
+    common::BufferChain out = std::move(pending_);
+    pending_.Clear();
+    bool done = false;
+    while (out.empty() && !done) {
+      Status pumped = proxy_->Pump(*x_, out, &done);
+      if (!pumped.ok()) return Abort(std::move(pumped));
     }
-    common::BufferChain out;
-    for (;;) {
-      // Post-commit chunk boundary: any injected action becomes an abort
-      // (honest truncation) — fabricating or corrupting bytes after the
-      // 200 went out is exactly what the invariants forbid.
-      if (Status injected = chaos::InjectStatus(
-              DYNAPROX_FAULT_POINT("dpc.stream.chunk"));
-          !injected.ok()) {
-        ctx_.upstream_errors->Increment();
-        return Abort(injected);
-      }
-      Result<common::BufferChain> chunk = upstream_->Next();
-      if (!chunk.ok()) {
-        ctx_.upstream_errors->Increment();
-        return Abort(chunk.status());
-      }
-      if (chunk->empty()) {
-        Status finished = assembler_.Finish(out);
-        if (!finished.ok()) {
-          ctx_.template_errors->Increment();
-          return Abort(finished);
-        }
-        finished_ = true;
-        ctx_.assembled->Increment();
-        ctx_.body_bytes_copied->Increment(assembler_.progress().bytes_copied);
-        ctx_.body_bytes_referenced->Increment(
-            assembler_.progress().bytes_referenced);
-        // A non-empty tail goes out now and the next pull ends the body;
-        // an empty one ends it directly.
-        Result<common::BufferChain> tail = Deliver(std::move(out));
-        Complete("streamed");
-        return tail;
-      }
-      template_bytes_ += chunk->size();
-      ctx_.bytes_from_upstream->Increment(chunk->size());
-      if (ctx_.max_template_bytes != 0 &&
-          template_bytes_ > ctx_.max_template_bytes) {
-        ctx_.template_errors->Increment();
-        return Abort(Status::CapacityExceeded(
-            "template exceeds limit: " + std::to_string(template_bytes_) +
-            " > " + std::to_string(ctx_.max_template_bytes)));
-      }
-      for (const common::BufferChain::Slice& slice : chunk->slices()) {
-        Status fed = assembler_.Feed(slice.buffer, slice.view(), out);
-        if (!fed.ok()) {
-          ctx_.template_errors->Increment();
-          return Abort(fed);
-        }
-      }
-      if (!out.empty()) return Deliver(std::move(out));
-    }
-  }
-
- private:
-  Result<common::BufferChain> Deliver(common::BufferChain out) {
-    ctx_.bytes_to_clients->Increment(out.size());
-    sent_ += out.size();
+    proxy_->instruments_.bytes_to_clients->Increment(out.size());
+    x_->sent += out.size();
+    if (x_->keep) x_->head.body_chain.Append(out);
+    // A non-empty tail goes out now and the next pull ends the body.
+    if (done) Finish(&x_->head);
     return out;
   }
 
-  Result<common::BufferChain> Abort(Status status) {
-    failed_ = true;
-    failure_ = status;
-    ctx_.stream_aborts->Increment();
+ private:
+  Status Abort(Status status) {
+    proxy_->instruments_.stream_aborts->Increment();
     DYNAPROX_LOG(kWarning, "dpc")
-        << "stream abort (" << ctx_.request_id
+        << "stream abort (" << x_->request_id
         << "): " << status.ToString();
-    Complete("stream_abort");
-    return failure_;
+    x_->outcome = "stream_abort";
+    failure_ = status;
+    Finish(nullptr);
+    return status;
   }
 
-  void Complete(const char* outcome) {
+  void Finish(const http::Response* page) {
     completed_ = true;
-    LogStreamCompletion(ctx_, outcome, sent_);
+    proxy_->Complete(*x_, page);
   }
 
-  std::unique_ptr<http::BodyStream> upstream_;
-  StreamingAssembler assembler_;
-  common::BufferChain pending_;  // Output the prefetch already produced.
-  size_t template_bytes_;
-  StreamContext ctx_;
-  size_t sent_ = 0;
-  bool finished_ = false;
-  bool failed_ = false;
+  DpcProxy* proxy_;
+  std::unique_ptr<Exchange> x_;
+  common::BufferChain pending_;
   Status failure_ = Status::Ok();
   bool completed_ = false;
 };
-
-}  // namespace
 
 DpcProxy::DpcProxy(net::Transport* upstream, ProxyOptions options)
     : upstream_(upstream),
@@ -346,10 +253,6 @@ void DpcProxy::RegisterMetrics() {
       "dynaprox_streamed_total",
       "Responses committed to streaming delivery (head sent while the "
       "template tail was still arriving).");
-  instruments_.stream_fallbacks = registry_.GetCounter(
-      "dynaprox_stream_fallbacks_total",
-      "Streaming-eligible responses whose template completed during "
-      "prefetch and were served buffered instead.");
   instruments_.stream_aborts = registry_.GetCounter(
       "dynaprox_stream_aborts_total",
       "Streams aborted after commit (upstream or template failure "
@@ -379,8 +282,8 @@ void DpcProxy::RegisterMetrics() {
   instruments_.ttfb = registry_.GetHistogram(
       "dynaprox_ttfb_seconds",
       "Time from request arrival to the first response body bytes being "
-      "ready to send (streamed: at commit; buffered: whole handling "
-      "time).");
+      "ready to send (committed streams: at commit; whole responses: the "
+      "whole handling time).");
 
   // Fragment store, sampled at scrape time.
   registry_.RegisterCallbackGauge(
@@ -593,7 +496,6 @@ ProxyStats DpcProxy::stats() const {
   snapshot.bytes_from_upstream = instruments_.bytes_from_upstream->value();
   snapshot.bytes_to_clients = instruments_.bytes_to_clients->value();
   snapshot.streamed = instruments_.streamed->value();
-  snapshot.stream_fallbacks = instruments_.stream_fallbacks->value();
   snapshot.stream_aborts = instruments_.stream_aborts->value();
   snapshot.deadline_exceeded = instruments_.deadline_exceeded->value();
   if (instruments_.peer_fills != nullptr) {
@@ -688,39 +590,6 @@ http::Response DpcProxy::HandleFragment(const http::Request& request) {
   return response;
 }
 
-http::Response DpcProxy::BuildAssembledResponse(
-    const http::Request& request, http::Response upstream,
-    AssembledPage page) {
-  if (options_.on_sets != nullptr && !page.set_keys.empty()) {
-    options_.on_sets(page.set_keys);
-  }
-  http::Response response = std::move(upstream);
-  response.headers.Remove(bem::kTemplateHeader);
-  response.headers.Remove("Content-Length");
-  if (options_.proxy_headers) {
-    StripHopByHop(response.headers);
-    AppendVia(response.headers, options_.via_token);
-  }
-  if (options_.add_debug_header) {
-    response.headers.Set(
-        kDebugHeader, "sets=" + std::to_string(page.set_count) +
-                          ";gets=" + std::to_string(page.get_count));
-  }
-  // Zero-copy handoff: the page's chain (template slices + shared
-  // fragment buffers) becomes the response body as-is.
-  response.body.clear();
-  response.body_chain = std::move(page.body);
-  if (stale_cache_ != nullptr && request.method == "GET" &&
-      response.status_code == 200) {
-    stale_cache_->Remember(request.target, response);
-  }
-  instruments_.assembled->Increment();
-  instruments_.bytes_to_clients->Increment(response.body_size());
-  instruments_.body_bytes_copied->Increment(page.bytes_copied);
-  instruments_.body_bytes_referenced->Increment(page.bytes_referenced);
-  return response;
-}
-
 std::optional<http::Response> DpcProxy::LookupAnyStale(
     const std::string& url) {
   std::optional<http::Response> stale;
@@ -736,11 +605,8 @@ std::optional<http::Response> DpcProxy::LookupAnyStale(
     stale = static_cache_->LookupStale(url);  // Sets Age itself.
   }
   if (!stale.has_value()) return std::nullopt;
+  // Cached as first sent: hop-by-hop fields stripped and Via appended.
   stale->headers.Set("Warning", kStaleWarning);
-  if (options_.proxy_headers) {
-    StripHopByHop(stale->headers);
-    AppendVia(stale->headers, options_.via_token);
-  }
   instruments_.stale_served->Increment();
   instruments_.bytes_to_clients->Increment(stale->body_size());
   return stale;
@@ -789,7 +655,6 @@ http::Response DpcProxy::RenderStatus() const {
   json.Key("bytes_from_upstream").Uint(snapshot.bytes_from_upstream);
   json.Key("bytes_to_clients").Uint(snapshot.bytes_to_clients);
   json.Key("streamed").Uint(snapshot.streamed);
-  json.Key("stream_fallbacks").Uint(snapshot.stream_fallbacks);
   json.Key("stream_aborts").Uint(snapshot.stream_aborts);
   json.Key("deadline_exceeded").Uint(snapshot.deadline_exceeded);
   json.Key("store").BeginObject();
@@ -922,231 +787,382 @@ http::Response DpcProxy::Handle(const http::Request& request) {
       common::CurrentDeadline(),
       common::Deadline::After(clock_, options_.request_budget_micros)));
 
-  MicroTime start = clock_->NowMicros();
-  const char* outcome = "error";
-  // Streaming is served only when every feature that needs the complete
-  // page in hand is off (see ProxyOptions::streaming).
-  const bool streaming_eligible =
-      options_.streaming && static_cache_ == nullptr &&
-      stale_cache_ == nullptr && !options_.add_debug_header;
-  http::Response response =
-      streaming_eligible
-          ? HandleStreaming(request, request_id, start, &outcome)
-          : HandleProxied(request, request_id, &outcome);
+  auto x = std::make_unique<Exchange>();
+  x->request_id = request_id;
+  x->start = clock_->NowMicros();
+  http::Response response = Proxy(x, request);
+  if (response.body_stream == nullptr) {
+    // Served whole. Completed before the correlation id is set, so the
+    // caches never keep it.
+    x->status = response.status_code;
+    x->sent = response.body_size();
+    Complete(*x, x->delivered ? &response : nullptr);
+  }
   response.headers.Set(bem::kRequestIdHeader, request_id);
-  if (response.body_stream != nullptr) {
-    // Committed stream: duration, TTFB, and the access-log line are
-    // recorded by the stream itself when the body completes — the
-    // request is still in flight here.
-    return response;
-  }
-  MicroTime elapsed = clock_->NowMicros() - start;
-  instruments_.request_duration->Observe(MicrosToSeconds(elapsed));
-  instruments_.ttfb->Observe(MicrosToSeconds(elapsed));
-
-  if (options_.access_log != nullptr) {
-    AccessLogEntry entry;
-    entry.timestamp_micros = start;
-    entry.component = "dpc";
-    entry.request_id = request_id;
-    entry.method = request.method;
-    entry.target = request.target;
-    entry.status = response.status_code;
-    entry.bytes_sent = response.body_size();
-    entry.duration_micros = elapsed;
-    entry.outcome = outcome;
-    options_.access_log->Log(entry);
-  }
   return response;
 }
 
-http::Response DpcProxy::HandleProxied(const http::Request& request,
-                                       const std::string& request_id,
-                                       const char** outcome) {
-  // Builds the request forwarded upstream; re-applied after each retry
-  // mutation so hop-by-hop stripping and the correlation id survive.
-  auto prepare_upstream = [&](const http::Request& base) {
-    return PrepareUpstream(base, request_id);
-  };
-
+http::Response DpcProxy::Proxy(std::unique_ptr<Exchange>& x,
+                               const http::Request& request) {
+  const bool get = request.method == "GET";
+  x->upstream_request = PrepareUpstream(request, x->request_id);
   bool revalidating = false;
-  http::Request upstream_request = prepare_upstream(request);
-  if (static_cache_ != nullptr && request.method == "GET") {
+  if (static_cache_ != nullptr && get) {
     if (std::optional<http::Response> cached =
             static_cache_->Lookup(request.target)) {
       instruments_.static_hits->Increment();
       instruments_.bytes_to_clients->Increment(cached->body_size());
-      *outcome = "static_hit";
+      x->outcome = "static_hit";
       return std::move(*cached);
     }
     // Stale entry with an ETag: try a conditional request.
     if (std::optional<std::string> etag =
             static_cache_->StaleEtag(request.target)) {
-      upstream_request.headers.Set("If-None-Match", *etag);
+      x->upstream_request.headers.Set("If-None-Match", *etag);
       revalidating = true;
     }
   }
-  const common::Deadline deadline = common::CurrentDeadline();
-  for (int attempt = 0; attempt <= options_.max_recovery_attempts;
-       ++attempt) {
-    if (deadline.expired()) {
-      instruments_.deadline_exceeded->Increment();
-      return ServeDegraded(request,
-                           common::DeadlineExceededError(
-                               "upstream fetch, attempt " +
-                               std::to_string(attempt)),
-                           /*breaker_rejected=*/false, outcome);
+  Result<net::StreamingResponse> upstream = Fetch(*x, x->upstream_request);
+  if (revalidating && upstream.ok() && upstream->head.status_code == 304) {
+    if (std::optional<http::Response> refreshed =
+            static_cache_->Revalidate(request.target, upstream->head)) {
+      instruments_.static_revalidations->Increment();
+      instruments_.bytes_to_clients->Increment(refreshed->body_size());
+      x->outcome = "static_revalidated";
+      return std::move(*refreshed);
     }
-    MicroTime fetch_start = clock_->NowMicros();
-    Result<http::Response> upstream_response =
-        ChaosRoundTrip(upstream_, upstream_request);
-    instruments_.upstream_fetch_duration->Observe(
-        MicrosToSeconds(clock_->NowMicros() - fetch_start));
-    if (!upstream_response.ok()) {
-      bool breaker_rejected =
-          net::IsBreakerRejection(upstream_response.status());
-      if (breaker_rejected) {
-        instruments_.breaker_rejections->Increment();
-      } else {
-        instruments_.upstream_errors->Increment();
-      }
-      return ServeDegraded(request, upstream_response.status(),
-                           breaker_rejected, outcome);
-    }
-    // body_size(), not body.size(): an in-process upstream (DirectTransport
-    // over another proxy tier) may deliver the body as a chain.
-    instruments_.bytes_from_upstream->Increment(
-        upstream_response->body_size());
-
-    if (revalidating && upstream_response->status_code == 304) {
-      if (std::optional<http::Response> refreshed =
-              static_cache_->Revalidate(request.target,
-                                        *upstream_response)) {
-        instruments_.static_revalidations->Increment();
-        instruments_.bytes_to_clients->Increment(refreshed->body_size());
-        *outcome = "static_revalidated";
-        return std::move(*refreshed);
-      }
-      // Entry vanished (evicted between the stale check and the 304):
-      // retry unconditionally.
-      revalidating = false;
-      upstream_request = prepare_upstream(request);
-      continue;
-    }
-
-    // Serve-stale-on-error (RFC 9111 §4.2.4): a 5xx answer must not
-    // displace a still-usable stale copy — serve the copy instead.
-    if (upstream_response->status_code >= 500 && request.method == "GET") {
-      if (std::optional<http::Response> stale =
-              LookupAnyStale(request.target)) {
-        *outcome = "stale";
-        return std::move(*stale);
-      }
-    }
-
-    if (!upstream_response->headers.Has(bem::kTemplateHeader)) {
-      if (static_cache_ != nullptr && request.method == "GET") {
-        static_cache_->Store(request.target, *upstream_response);
-      }
-      if (stale_cache_ != nullptr && request.method == "GET" &&
-          upstream_response->status_code == 200) {
-        stale_cache_->Remember(request.target, *upstream_response);
-      }
-      if (options_.proxy_headers) {
-        StripHopByHop(upstream_response->headers);
-        AppendVia(upstream_response->headers, options_.via_token);
-      }
-      instruments_.passthrough->Increment();
-      instruments_.bytes_to_clients->Increment(
-          upstream_response->body_size());
-      *outcome = "passthrough";
-      return std::move(*upstream_response);
-    }
-
-    if (options_.max_template_bytes != 0 &&
-        upstream_response->body_size() > options_.max_template_bytes) {
-      instruments_.template_errors->Increment();
-      *outcome = "template_error";
-      return http::Response::MakeError(
-          502, "Bad Gateway",
-          "template exceeds limit: " +
-              std::to_string(upstream_response->body_size()) + " > " +
-              std::to_string(options_.max_template_bytes));
-    }
-
-    // The template body moves into a shared wire buffer: the assembled
-    // page's literal slices alias it, so it must outlive the page — the
-    // chain's references keep it alive, no copy. A chained body (from an
-    // in-process upstream tier) is flattened first: the scanner needs
-    // contiguous bytes.
-    common::Buffer wire =
-        upstream_response->body_chain.empty()
-            ? common::MakeBuffer(std::move(upstream_response->body))
-            : common::MakeBuffer(upstream_response->body_chain.Flatten());
-    upstream_response->body.clear();
-    upstream_response->body_chain.Clear();
-    AssemblyTiming timing;
-    Result<AssembledPage> assembled = AssemblePage(
-        wire, store_, options_.scan_strategy, clock_, &timing);
-    instruments_.scan_duration->Observe(MicrosToSeconds(timing.scan_micros));
-    instruments_.splice_duration->Observe(
-        MicrosToSeconds(timing.splice_micros));
-    if (!assembled.ok()) {
-      instruments_.template_errors->Increment();
-      *outcome = "template_error";
-      return http::Response::MakeError(
-          502, "Bad Gateway",
-          "template error: " + assembled.status().ToString());
-    }
-    if (!assembled->complete() && options_.miss_resolver != nullptr) {
-      // Cluster peer fill: ask each missing key's ring owner before
-      // paying a refresh round trip to the origin. The resolver stores
-      // what it finds, so a re-assembly sees a warm store.
-      bool all_filled = true;
-      for (bem::DpcKey key : assembled->missing_keys) {
-        if (options_.miss_resolver(key).ok()) {
-          if (instruments_.peer_fills != nullptr) {
-            instruments_.peer_fills->Increment();
-          }
-        } else {
-          all_filled = false;
-        }
-      }
-      if (all_filled) {
-        assembled = AssemblePage(wire, store_, options_.scan_strategy,
-                                 clock_, &timing);
-        if (!assembled.ok()) {
-          instruments_.template_errors->Increment();
-          *outcome = "template_error";
-          return http::Response::MakeError(
-              502, "Bad Gateway",
-              "template error: " + assembled.status().ToString());
-        }
-      }
-    }
-    if (assembled->complete()) {
-      *outcome = "assembled";
-      return BuildAssembledResponse(request, std::move(*upstream_response),
-                                    std::move(*assembled));
-    }
-
-    // Cold-cache recovery: ask the origin to invalidate the missing keys so
-    // the retried response carries fresh SETs.
-    instruments_.recoveries->Increment();
-    std::string refresh;
-    for (bem::DpcKey key : assembled->missing_keys) {
-      if (!refresh.empty()) refresh += ',';
-      refresh += ToHex(key);
-    }
-    DYNAPROX_LOG(kInfo, "dpc")
-        << "cold-cache recovery for keys [" << refresh << "]";
-    upstream_request = prepare_upstream(request);
-    upstream_request.headers.Set(bem::kRefreshHeader, refresh);
+    // Entry vanished (evicted between the stale check and the 304):
+    // fetch again unconditionally.
+    x->upstream_request.headers.Remove("If-None-Match");
+    upstream = Fetch(*x, x->upstream_request);
   }
-  instruments_.template_errors->Increment();
-  *outcome = "recovery_failed";
-  return http::Response::MakeError(502, "Bad Gateway",
-                                   "unrecoverable missing fragments");
+  if (!upstream.ok()) return Refuse(*x, request, upstream.status());
+
+  http::Response head = std::move(upstream->head);
+  // Serve-stale-on-error (RFC 9111 §4.2.4): a 5xx answer must not
+  // displace a still-usable stale copy — serve the copy instead.
+  if (head.status_code >= 500 && get) {
+    if (std::optional<http::Response> stale =
+            LookupAnyStale(request.target)) {
+      x->outcome = "stale";
+      return std::move(*stale);
+    }
+  }
+  x->body = std::move(upstream->body);
+  x->declared = DeclaredLength(head);
+  const bool is_template = head.headers.Has(bem::kTemplateHeader);
+  if (is_template) {
+    head.headers.Remove(bem::kTemplateHeader);
+    head.headers.Remove("Content-Length");  // The template's, not the page's.
+    x->assembler.emplace(
+        store_, options_.scan_strategy,
+        [this, exchange = x.get()](const std::vector<bem::DpcKey>& keys) {
+          return Recover(*exchange, keys);
+        },
+        clock_);
+  }
+  head.headers.Remove("Transfer-Encoding");
+  if (options_.proxy_headers) {
+    StripHopByHop(head.headers);
+    AppendVia(head.headers, options_.via_token);
+  }
+  x->keep = get && ((static_cache_ != nullptr && !is_template) ||
+                    (stale_cache_ != nullptr && head.status_code == 200));
+
+  // Prefetch until there are bytes to commit, or the whole body is in. A
+  // body whose declared length has arrived is read to its end; so is a
+  // page for the debug header (it counts the whole page's tags) and a
+  // non-200 passthrough (never re-framed as chunked).
+  const bool read_whole =
+      is_template ? options_.add_debug_header : head.status_code != 200;
+  common::BufferChain out;
+  bool done = false;
+  while (!done && (out.empty() || read_whole || x->BodyArrived())) {
+    Status pumped = Pump(*x, out, &done);
+    if (!pumped.ok()) return Refuse(*x, request, pumped);
+  }
+  if (done) {
+    if (!is_template) {
+      head.body = out.Flatten();  // Passthrough bodies stay contiguous.
+      x->outcome = "passthrough";
+    } else {
+      if (options_.add_debug_header) {
+        const StreamProgress& progress = x->assembler->progress();
+        head.headers.Set(kDebugHeader,
+                         "sets=" + std::to_string(progress.set_count) +
+                             ";gets=" + std::to_string(progress.get_count));
+      }
+      head.body_chain = std::move(out);  // Zero-copy handoff.
+      x->outcome = "assembled";
+    }
+    instruments_.bytes_to_clients->Increment(head.body_size());
+    x->delivered = true;
+    return head;
+  }
+
+  // Commit: template bytes are still in flight, so the head and `out` go
+  // to the client now, chunked, and the rest follows as it resolves.
+  head.headers.Remove("Content-Length");
+  instruments_.streamed->Increment();
+  x->committed_at = clock_->NowMicros();
+  x->status = head.status_code;
+  x->outcome = is_template ? "streamed" : "passthrough";
+  x->head = head;
+  head.body_stream =
+      std::make_shared<ServingStream>(this, std::move(x), std::move(out));
+  return head;
+}
+
+Result<net::StreamingResponse> DpcProxy::Fetch(Exchange& x,
+                                               const http::Request& request) {
+  if (common::CurrentDeadline().expired()) {
+    return Fail(x, Failure::kDeadline,
+                common::DeadlineExceededError("upstream fetch for " +
+                                              request.target));
+  }
+  MicroTime fetch_start = clock_->NowMicros();
+  Result<net::StreamingResponse> response =
+      ChaosRoundTrip(upstream_, request);
+  // Head time only: the body is pulled chunk by chunk afterwards.
+  instruments_.upstream_fetch_duration->Observe(
+      MicrosToSeconds(clock_->NowMicros() - fetch_start));
+  if (!response.ok()) {
+    return Fail(x,
+                net::IsBreakerRejection(response.status())
+                    ? Failure::kBreaker
+                    : Failure::kUpstream,
+                response.status());
+  }
+  return response;
+}
+
+Status DpcProxy::Pump(Exchange& x, common::BufferChain& out, bool* done) {
+  // A committed stream reads the rest of the body at its first pull, so a
+  // pooled connection goes back when the body ends, not when the client
+  // has read the page.
+  if (x.committed_at.has_value()) DYNAPROX_RETURN_IF_ERROR(Drain(x));
+  common::BufferChain chunk = std::move(x.rest);
+  x.rest.Clear();
+  if (chunk.empty() && x.body != nullptr) {
+    Result<common::BufferChain> pulled = Pull(x);
+    if (!pulled.ok()) return pulled.status();
+    chunk = std::move(*pulled);
+  }
+  Status fed = Status::Ok();
+  if (chunk.empty()) {
+    *done = true;
+    if (x.assembler.has_value()) fed = x.assembler->Finish(out);
+  } else if (!x.assembler.has_value()) {
+    out.Append(std::move(chunk));
+    return Status::Ok();
+  } else {
+    fed = x.assembler->Feed(chunk, out);
+  }
+  // Recover classifies its own failures. A miss still open after it is
+  // unrecoverable; any other assembler failure is the template's.
+  if (fed.ok() || x.failure != Failure::kNone) return fed;
+  return Fail(x, fed.IsNotFound() ? Failure::kRecovery : Failure::kTemplate,
+              fed);
+}
+
+Result<common::BufferChain> DpcProxy::Pull(Exchange& x) {
+  // Body-chunk seam: an injected fault is an upstream failure — a clean
+  // answer before commit, an honest truncation after.
+  if (Status injected =
+          chaos::InjectStatus(DYNAPROX_FAULT_POINT("dpc.stream.chunk"));
+      !injected.ok()) {
+    return Fail(x, Failure::kUpstream, injected);
+  }
+  Result<common::BufferChain> chunk = x.body->Next();
+  if (!chunk.ok()) return Fail(x, Failure::kUpstream, chunk.status());
+  if (chunk->empty()) {
+    x.body.reset();
+    return chunk;
+  }
+  x.received += chunk->size();
+  instruments_.bytes_from_upstream->Increment(chunk->size());
+  if (x.assembler.has_value()) {
+    DYNAPROX_RETURN_IF_ERROR(CapTemplate(x, x.received));
+  }
+  return chunk;
+}
+
+Status DpcProxy::Drain(Exchange& x) {
+  while (x.body != nullptr) {
+    Result<common::BufferChain> chunk = Pull(x);
+    if (!chunk.ok()) return chunk.status();
+    x.rest.Append(std::move(*chunk));
+  }
+  return Status::Ok();
+}
+
+Status DpcProxy::CapTemplate(Exchange& x, size_t bytes) {
+  if (options_.max_template_bytes == 0 ||
+      bytes <= options_.max_template_bytes) {
+    return Status::Ok();
+  }
+  return Fail(x, Failure::kTemplate,
+              Status::CapacityExceeded(
+                  "template exceeds limit: " + std::to_string(bytes) + " > " +
+                  std::to_string(options_.max_template_bytes)));
+}
+
+Status DpcProxy::Recover(Exchange& x, std::vector<bem::DpcKey> missing) {
+  if (options_.miss_resolver != nullptr) {
+    // Cluster peer fill first: ask each key's ring owner before paying a
+    // refresh round trip to the origin.
+    std::erase_if(missing, [this](bem::DpcKey key) {
+      if (!options_.miss_resolver(key).ok()) return false;
+      if (instruments_.peer_fills != nullptr) {
+        instruments_.peer_fills->Increment();
+      }
+      return true;
+    });
+  }
+  if (missing.empty()) return Status::Ok();
+  // The refresh must not wait for a connection this exchange holds: read
+  // the rest of the template first, which checks a pooled connection in.
+  DYNAPROX_RETURN_IF_ERROR(Drain(x));
+  // Ask the origin to invalidate the keys still missing, so the refreshed
+  // template carries their SETs; its page is discarded. A key counts as
+  // recovered once the store holds it, whether the refresh or a
+  // concurrent response stored it. With a pooled upstream the refresh can
+  // race a concurrent request whose SET is still in flight and miss again
+  // — hence the retries.
+  for (int attempt = 0; !missing.empty(); ++attempt) {
+    const std::string keys = HexList(missing);
+    if (attempt == options_.max_recovery_attempts) {
+      return Fail(x, Failure::kRecovery,
+                  Status::NotFound("fragments [" + keys +
+                                   "] unrecoverable after refresh"));
+    }
+    http::Request refresh = x.upstream_request;
+    refresh.headers.Remove("If-None-Match");
+    refresh.headers.Set(bem::kRefreshHeader, keys);
+    DYNAPROX_LOG(kInfo, "dpc") << "cold-cache recovery for keys [" << keys
+                               << "]";
+    Result<net::StreamingResponse> refreshed = Fetch(x, refresh);
+    if (!refreshed.ok()) return refreshed.status();
+    instruments_.recoveries->Increment();
+    if (!refreshed->head.headers.Has(bem::kTemplateHeader)) {
+      // The origin no longer answers this URL with a template; there are
+      // no SETs to learn from, so retrying cannot help.
+      return Fail(x, Failure::kRecovery,
+                  Status::NotFound("refresh answered without a template"));
+    }
+    StreamingScanner scanner(options_.scan_strategy);
+    std::vector<StreamSegment> segments;
+    size_t bytes = 0;
+    for (bool done = false; !done;) {
+      Result<common::BufferChain> chunk = refreshed->body->Next();
+      if (!chunk.ok()) return Fail(x, Failure::kUpstream, chunk.status());
+      instruments_.bytes_from_upstream->Increment(chunk->size());
+      bytes += chunk->size();
+      DYNAPROX_RETURN_IF_ERROR(CapTemplate(x, bytes));
+      done = chunk->empty();
+      Status scanned =
+          done ? scanner.Finish(segments) : scanner.Feed(*chunk, segments);
+      if (!scanned.ok()) return Fail(x, Failure::kTemplate, scanned);
+      for (const StreamSegment& segment : segments) {
+        if (segment.kind != TemplateSegment::Kind::kSet) continue;
+        DYNAPROX_RETURN_IF_ERROR(store_.Set(
+            segment.key, std::make_shared<const std::string>(segment.Text())));
+      }
+      segments.clear();
+    }
+    std::erase_if(missing,
+                  [this](bem::DpcKey key) { return store_.Get(key).ok(); });
+  }
+  return Status::Ok();
+}
+
+Status DpcProxy::Fail(Exchange& x, Failure failure, Status status) {
+  x.failure = failure;
+  switch (failure) {
+    case Failure::kUpstream:
+      instruments_.upstream_errors->Increment();
+      break;
+    case Failure::kBreaker:
+      instruments_.breaker_rejections->Increment();
+      break;
+    case Failure::kDeadline:
+      instruments_.deadline_exceeded->Increment();
+      break;
+    case Failure::kTemplate:
+    case Failure::kRecovery:
+      instruments_.template_errors->Increment();
+      break;
+    case Failure::kNone:
+      break;
+  }
+  return status;
+}
+
+http::Response DpcProxy::Refuse(Exchange& x, const http::Request& request,
+                                const Status& failure) {
+  switch (x.failure) {
+    case Failure::kTemplate:
+      x.outcome = "template_error";
+      return http::Response::MakeError(
+          502, "Bad Gateway", "template error: " + failure.ToString());
+    case Failure::kRecovery:
+      x.outcome = "recovery_failed";
+      return http::Response::MakeError(
+          502, "Bad Gateway",
+          "unrecoverable missing fragments: " + failure.ToString());
+    default:
+      return ServeDegraded(request, failure,
+                           x.failure == Failure::kBreaker, &x.outcome);
+  }
+}
+
+void DpcProxy::Complete(Exchange& x, const http::Response* page) {
+  if (page != nullptr) {
+    if (x.assembler.has_value()) {
+      const StreamProgress& progress = x.assembler->progress();
+      instruments_.assembled->Increment();
+      instruments_.body_bytes_copied->Increment(progress.bytes_copied);
+      instruments_.body_bytes_referenced->Increment(
+          progress.bytes_referenced);
+      instruments_.scan_duration->Observe(
+          MicrosToSeconds(progress.scan_micros));
+      instruments_.splice_duration->Observe(
+          MicrosToSeconds(progress.splice_micros));
+      if (options_.on_sets != nullptr && !progress.set_keys.empty()) {
+        options_.on_sets(progress.set_keys);
+      }
+    } else {
+      instruments_.passthrough->Increment();
+    }
+    if (x.keep) {
+      const std::string& url = x.upstream_request.target;
+      if (static_cache_ != nullptr && !x.assembler.has_value()) {
+        static_cache_->Store(url, *page);
+      }
+      if (stale_cache_ != nullptr && page->status_code == 200) {
+        stale_cache_->Remember(url, *page);
+      }
+    }
+  }
+  // Measured to the moment the body is fully produced (or abandoned), not
+  // to the last socket flush — the proxy cannot see the server's writes.
+  MicroTime now = clock_->NowMicros();
+  instruments_.request_duration->Observe(MicrosToSeconds(now - x.start));
+  instruments_.ttfb->Observe(
+      MicrosToSeconds(x.committed_at.value_or(now) - x.start));
+  if (options_.access_log != nullptr) {
+    AccessLogEntry entry;
+    entry.timestamp_micros = x.start;
+    entry.component = "dpc";
+    entry.request_id = x.request_id;
+    entry.method = x.upstream_request.method;
+    entry.target = x.upstream_request.target;
+    entry.status = x.status;
+    entry.bytes_sent = x.sent;
+    entry.duration_micros = now - x.start;
+    entry.outcome = x.outcome;
+    options_.access_log->Log(entry);
+  }
 }
 
 http::Request DpcProxy::PrepareUpstream(const http::Request& base,
@@ -1158,262 +1174,6 @@ http::Request DpcProxy::PrepareUpstream(const http::Request& base,
   }
   upstream_request.headers.Set(bem::kRequestIdHeader, request_id);
   return upstream_request;
-}
-
-Result<FragmentRef> DpcProxy::ResolveMiss(const http::Request& request,
-                                          const std::string& request_id,
-                                          bem::DpcKey key) {
-  // Streamed cold-cache recovery. The buffered path re-fetches and
-  // re-assembles the whole page; here bytes before the miss may already
-  // be on the wire, so instead the refreshed template's SETs are executed
-  // into the store (its page body is discarded) and the slot re-read.
-  // The nested round trip rides the same upstream transport — safe on
-  // PooledClientTransport (own pool slot) and DirectTransport (plain
-  // call); see ProxyOptions::streaming for the TcpClientTransport caveat.
-  const common::Deadline deadline = common::CurrentDeadline();
-  for (int attempt = 0; attempt < options_.max_recovery_attempts; ++attempt) {
-    if (deadline.expired()) {
-      instruments_.deadline_exceeded->Increment();
-      return common::DeadlineExceededError("streamed recovery for key " +
-                                           ToHex(key));
-    }
-    instruments_.recoveries->Increment();
-    http::Request refresh = PrepareUpstream(request, request_id);
-    refresh.headers.Set(bem::kRefreshHeader, ToHex(key));
-    DYNAPROX_LOG(kInfo, "dpc")
-        << "streamed cold-cache recovery for key " << ToHex(key);
-    MicroTime fetch_start = clock_->NowMicros();
-    Result<http::Response> refreshed = ChaosRoundTrip(upstream_, refresh);
-    instruments_.upstream_fetch_duration->Observe(
-        MicrosToSeconds(clock_->NowMicros() - fetch_start));
-    if (!refreshed.ok()) {
-      instruments_.upstream_errors->Increment();
-      return refreshed.status();
-    }
-    instruments_.bytes_from_upstream->Increment(refreshed->body_size());
-    if (!refreshed->headers.Has(bem::kTemplateHeader)) {
-      // The origin no longer answers this URL with a template; there are
-      // no SETs to learn from, so retrying cannot help.
-      break;
-    }
-    const std::string wire = refreshed->BodyText();
-    Result<std::vector<TemplateSegment>> segments =
-        ParseTemplate(wire, options_.scan_strategy);
-    if (!segments.ok()) return segments.status();
-    for (const TemplateSegment& segment : *segments) {
-      if (segment.kind != TemplateSegment::Kind::kSet) continue;
-      Status stored = store_.Set(
-          segment.key, std::make_shared<const std::string>(segment.Text()));
-      if (!stored.ok()) return stored;
-    }
-    Result<FragmentRef> fragment = store_.Get(key);
-    if (fragment.ok()) return fragment;
-    // With a pooled upstream the refresh can race a concurrent request
-    // whose SET is still in flight and miss again — retry.
-  }
-  return Status::NotFound("fragment " + ToHex(key) +
-                          " unrecoverable after refresh");
-}
-
-http::Response DpcProxy::HandleStreaming(const http::Request& request,
-                                         const std::string& request_id,
-                                         MicroTime start,
-                                         const char** outcome) {
-  http::Request upstream_request = PrepareUpstream(request, request_id);
-  MicroTime fetch_start = clock_->NowMicros();
-  Result<net::StreamingResponse> upstream =
-      upstream_->RoundTripStreaming(upstream_request);
-  // Head time only: per-chunk body time is the stream consumer's.
-  instruments_.upstream_fetch_duration->Observe(
-      MicrosToSeconds(clock_->NowMicros() - fetch_start));
-  if (!upstream.ok()) {
-    bool breaker_rejected = net::IsBreakerRejection(upstream.status());
-    if (breaker_rejected) {
-      instruments_.breaker_rejections->Increment();
-    } else {
-      instruments_.upstream_errors->Increment();
-    }
-    return ServeDegraded(request, upstream.status(), breaker_rejected,
-                         outcome);
-  }
-  http::Response head = std::move(upstream->head);
-  std::unique_ptr<http::BodyStream> body = std::move(upstream.value().body);
-
-  StreamContext ctx;
-  ctx.bytes_from_upstream = instruments_.bytes_from_upstream;
-  ctx.bytes_to_clients = instruments_.bytes_to_clients;
-  ctx.upstream_errors = instruments_.upstream_errors;
-  ctx.template_errors = instruments_.template_errors;
-  ctx.stream_aborts = instruments_.stream_aborts;
-  ctx.assembled = instruments_.assembled;
-  ctx.body_bytes_copied = instruments_.body_bytes_copied;
-  ctx.body_bytes_referenced = instruments_.body_bytes_referenced;
-  ctx.request_duration = instruments_.request_duration;
-  ctx.clock = clock_;
-  ctx.access_log = options_.access_log;
-  ctx.start = start;
-  ctx.request_id = request_id;
-  ctx.method = request.method;
-  ctx.target = request.target;
-  ctx.status = head.status_code;
-  ctx.max_template_bytes = options_.max_template_bytes;
-
-  if (!head.headers.Has(bem::kTemplateHeader)) {
-    if (head.status_code != 200) {
-      // 304/204/errors must not be re-framed as chunked; collapse to a
-      // buffered response (these bodies are empty or tiny anyway).
-      std::string collapsed;
-      for (;;) {
-        Result<common::BufferChain> chunk = body->Next();
-        if (!chunk.ok()) {
-          instruments_.upstream_errors->Increment();
-          return ServeDegraded(request, chunk.status(), false, outcome);
-        }
-        if (chunk->empty()) break;
-        chunk->AppendTo(collapsed);
-      }
-      instruments_.bytes_from_upstream->Increment(collapsed.size());
-      instruments_.bytes_to_clients->Increment(collapsed.size());
-      instruments_.passthrough->Increment();
-      head.headers.Remove("Transfer-Encoding");
-      head.body = std::move(collapsed);
-      if (options_.proxy_headers) {
-        StripHopByHop(head.headers);
-        AppendVia(head.headers, options_.via_token);
-      }
-      *outcome = "passthrough";
-      return head;
-    }
-    if (options_.proxy_headers) {
-      StripHopByHop(head.headers);
-      AppendVia(head.headers, options_.via_token);
-    }
-    // Re-framed as chunked by the hosting server.
-    head.headers.Remove("Content-Length");
-    head.headers.Remove("Transfer-Encoding");
-    instruments_.passthrough->Increment();
-    instruments_.streamed->Increment();
-    instruments_.ttfb->Observe(MicrosToSeconds(clock_->NowMicros() - start));
-    *outcome = "passthrough";
-    head.body_stream =
-        std::make_shared<PassthroughStream>(std::move(body), std::move(ctx));
-    return head;
-  }
-
-  head.headers.Remove(bem::kTemplateHeader);
-  head.headers.Remove("Content-Length");
-  head.headers.Remove("Transfer-Encoding");
-  if (options_.proxy_headers) {
-    StripHopByHop(head.headers);
-    AppendVia(head.headers, options_.via_token);
-  }
-
-  auto resolver = [this, base = request, request_id](
-                      bem::DpcKey key) -> Result<FragmentRef> {
-    if (options_.miss_resolver != nullptr) {
-      // Cluster peer fill first; origin recovery only when the ring
-      // owner cannot help either.
-      Result<FragmentRef> peer = options_.miss_resolver(key);
-      if (peer.ok()) {
-        if (instruments_.peer_fills != nullptr) {
-          instruments_.peer_fills->Increment();
-        }
-        return peer;
-      }
-    }
-    return ResolveMiss(base, request_id, key);
-  };
-  StreamingAssembler assembler(store_, options_.scan_strategy,
-                               std::move(resolver));
-
-  // Prefetch: pull until the first assembled byte, end of template, or a
-  // failure. Failures here are pre-commit — nothing has reached the
-  // client yet — so they still yield a clean error response.
-  common::BufferChain pending;
-  size_t template_bytes = 0;
-  bool complete = false;
-  bool upstream_failed = false;
-  Status failure = Status::Ok();
-  while (pending.empty()) {
-    // Pre-commit chunk boundary: nothing has reached the client yet, so
-    // injected faults must still produce a clean error response —
-    // garbage as a template error (502), the rest as upstream failures
-    // (degraded/502).
-    if (chaos::FaultDecision fault = chaos::ApplyDelay(
-            DYNAPROX_FAULT_POINT("dpc.stream.prefetch")->Evaluate());
-        static_cast<bool>(fault) &&
-        fault.action != chaos::FaultAction::kDelayMs) {
-      if (fault.action == chaos::FaultAction::kGarbage) {
-        failure = Status::Corruption("chaos:dpc.stream.prefetch garbage");
-      } else {
-        failure = Status::Unavailable(
-            std::string("chaos:dpc.stream.prefetch injected ") +
-            chaos::FaultActionName(fault.action));
-        upstream_failed = true;
-      }
-      break;
-    }
-    Result<common::BufferChain> chunk = body->Next();
-    if (!chunk.ok()) {
-      failure = chunk.status();
-      upstream_failed = true;
-      break;
-    }
-    if (chunk->empty()) {
-      failure = assembler.Finish(pending);
-      complete = true;
-      break;
-    }
-    template_bytes += chunk->size();
-    instruments_.bytes_from_upstream->Increment(chunk->size());
-    if (options_.max_template_bytes != 0 &&
-        template_bytes > options_.max_template_bytes) {
-      failure = Status::CapacityExceeded(
-          "template exceeds limit: " + std::to_string(template_bytes) +
-          " > " + std::to_string(options_.max_template_bytes));
-      break;
-    }
-    for (const common::BufferChain::Slice& slice : chunk->slices()) {
-      failure = assembler.Feed(slice.buffer, slice.view(), pending);
-      if (!failure.ok()) break;
-    }
-    if (!failure.ok()) break;
-  }
-  if (upstream_failed) {
-    instruments_.upstream_errors->Increment();
-    return ServeDegraded(request, failure, false, outcome);
-  }
-  if (!failure.ok()) {
-    instruments_.template_errors->Increment();
-    *outcome = "template_error";
-    return http::Response::MakeError(
-        502, "Bad Gateway", "template error: " + failure.ToString());
-  }
-  if (complete) {
-    // Whole template consumed during prefetch (in-process upstreams and
-    // small templates): serve buffered — byte-identical to the streamed
-    // form, minus the chunked framing.
-    instruments_.stream_fallbacks->Increment();
-    instruments_.assembled->Increment();
-    instruments_.bytes_to_clients->Increment(pending.size());
-    instruments_.body_bytes_copied->Increment(
-        assembler.progress().bytes_copied);
-    instruments_.body_bytes_referenced->Increment(
-        assembler.progress().bytes_referenced);
-    head.body.clear();
-    head.body_chain = std::move(pending);
-    *outcome = "assembled";
-    return head;
-  }
-  // Commit: the head and `pending` go to the client now, while the
-  // template tail is still arriving.
-  instruments_.streamed->Increment();
-  instruments_.ttfb->Observe(MicrosToSeconds(clock_->NowMicros() - start));
-  *outcome = "streamed";
-  head.body_stream = std::make_shared<AssemblingStream>(
-      std::move(body), std::move(assembler), std::move(pending),
-      template_bytes, std::move(ctx));
-  return head;
 }
 
 }  // namespace dynaprox::dpc

@@ -41,30 +41,33 @@ struct ProxyOptions {
   // pooled upstream, a refresh round trip can race a concurrent request
   // whose SET is still in flight and miss again, so allow more than one.
   int max_recovery_attempts = 3;
-  // Reject templates larger than this (bytes) with 502; 0 = unlimited.
-  // A resource guard against a misbehaving origin. On the streaming path
-  // the cap applies to cumulative template bytes and aborts mid-stream.
+  // Reject templates larger than this (bytes); 0 = unlimited. A resource
+  // guard against a misbehaving origin: each template read — the page's
+  // own and every cold-cache refresh's — is counted as its bytes arrive,
+  // so the cap answers 502 before the response is committed and aborts
+  // the stream after.
   size_t max_template_bytes = 0;
   bool add_debug_header = false;
-  // Streaming scan-and-splice: consume the upstream template chunk by
-  // chunk (net::Transport::RoundTripStreaming) and hand the hosting
-  // server a Response::body_stream, so assembled head bytes reach the
-  // client while the template tail is still arriving. Per-connection
-  // holdback is bounded by chunk size + open-SET body + partial tag,
-  // never the page. A request is served streamed only when, additionally,
-  // the static cache, serve-stale, and the debug header are all off —
-  // those features need the complete page in hand; enabling any of them
-  // keeps the buffered path for every request. Cold-cache GET misses are
-  // recovered inline per missing key (X-DPC-Refresh round trip on the
-  // same transport, then the store is re-read) — with a pooled upstream
-  // the nested round trip runs on its own connection; a bare
-  // TcpClientTransport would deadlock (see net/tcp.h), so use
-  // PooledClientTransport or DirectTransport upstreams when streaming.
-  // An upstream or template failure before the first assembled byte
-  // still yields a clean 502/degraded response; after bytes are on the
-  // wire the connection is aborted (truncated chunked body) instead of
-  // sending a complete-looking page.
-  bool streaming = false;
+  // Every response runs one pipeline: the upstream template is pulled
+  // chunk by chunk (net::Transport::RoundTripStreaming) through a
+  // StreamingAssembler. A response whose declared body length has fully
+  // arrived is served whole, with Content-Length; one whose template
+  // bytes are still in flight is committed as a chunked
+  // Response::body_stream, so assembled head bytes reach the client while
+  // the tail arrives. An upstream or template failure before commit still
+  // yields a clean 502/degraded response; after commit the connection is
+  // aborted (truncated chunked body) instead of sending a
+  // complete-looking page.
+  //
+  // The upstream must be pooled or direct (net::PooledClientTransport,
+  // net::DirectTransport). A body still in flight holds its upstream
+  // connection until the rest of it has been read into memory: before a
+  // cold-cache X-DPC-Refresh goes out, or at the committed stream's first
+  // pull after the bytes sent at commit — so neither a nested round trip
+  // nor a slow client waits on it. A bare net::TcpClientTransport has one
+  // connection, which would serialize every other request behind that
+  // window (see net/tcp.h).
+
   // Also cache untagged (static) responses per their Cache-Control, the
   // way ISA Server's ordinary proxy cache did in the paper's testbed.
   bool enable_static_cache = false;
@@ -131,14 +134,13 @@ struct ProxyOptions {
   // Edge-cluster hooks (docs/edge-tier.md). miss_resolver is consulted for
   // each cold-cache GET miss before the refresh round trip to the origin —
   // the cluster wires a peer fetch from the key's ring owner here. The
-  // resolver is expected to store what it finds (so a re-assembly sees a
-  // warm store) and return the fragment; a failure falls back to normal
-  // recovery. On the streaming path it replaces ResolveMiss the same way.
-  StreamingAssembler::MissResolver miss_resolver = nullptr;
-  // Fired after a page assembles (buffered path) with the dpcKeys its SETs
-  // stored, in template order; the cluster replicates those fragments to
-  // their ring owners. Runs on the request thread — keep it cheap or
-  // in-process. Not fired on the streaming path.
+  // resolver is expected to store what it finds (the assembler re-reads
+  // the store); a failure falls back to the refresh.
+  std::function<Status(bem::DpcKey)> miss_resolver = nullptr;
+  // Fired once a page has been delivered in full, whole or streamed, with
+  // the dpcKeys its SETs stored, in template order; the cluster
+  // replicates those fragments to their ring owners. Runs on the thread
+  // that completes the response — keep it cheap or in-process.
   std::function<void(const std::vector<bem::DpcKey>&)> on_sets = nullptr;
   // Control-channel endpoints (docs/edge-tier.md): accept pushed fragment
   // bodies at push_path (X-DPC-Push-Key/X-DPC-Push-Age headers) and serve
@@ -162,10 +164,8 @@ struct ProxyStats {
   uint64_t degraded_503s = 0;       // Origin down and nothing stale: 503.
   uint64_t bytes_from_upstream = 0;  // Template/page bytes received.
   uint64_t bytes_to_clients = 0;     // Assembled body bytes sent.
-  uint64_t streamed = 0;          // Responses committed to streaming.
-  uint64_t stream_fallbacks = 0;  // Template finished during prefetch:
-                                  // served buffered instead.
-  uint64_t stream_aborts = 0;     // Streams aborted after commit.
+  uint64_t streamed = 0;       // Responses committed to streaming.
+  uint64_t stream_aborts = 0;  // Streams aborted after commit.
   uint64_t deadline_exceeded = 0;  // Requests degraded on budget expiry.
   uint64_t peer_fills = 0;      // GET misses filled from a ring peer.
   uint64_t pushes_applied = 0;  // Control-channel pushes stored.
@@ -245,7 +245,6 @@ class DpcProxy {
     metrics::Counter* body_bytes_copied;
     metrics::Counter* body_bytes_referenced;
     metrics::Counter* streamed;
-    metrics::Counter* stream_fallbacks;
     metrics::Counter* stream_aborts;
     metrics::Counter* deadline_exceeded;
     // Edge-cluster instruments; registered only when the matching option
@@ -263,30 +262,56 @@ class DpcProxy {
 
   void RegisterMetrics();
 
-  // The proxying path proper (everything except the local status/metrics
-  // endpoints); `outcome` receives the serving decision for the access
-  // log.
-  http::Response HandleProxied(const http::Request& request,
-                               const std::string& request_id,
-                               const char** outcome);
-  // The streamed proxying path (see ProxyOptions::streaming). `start` is
-  // the request arrival time, for the TTFB observation at commit.
-  http::Response HandleStreaming(const http::Request& request,
-                                 const std::string& request_id,
-                                 MicroTime start, const char** outcome);
+  // One proxied request, from arrival to its last body byte. Heap-held so
+  // a committed stream can take it over (proxy.cc).
+  struct Exchange;
+  // What ended an exchange early; decides the clean answer before commit.
+  enum class Failure { kNone, kUpstream, kBreaker, kDeadline, kTemplate,
+                       kRecovery };
+  // A committed response body: pulls the rest of the template through
+  // Pump and runs Complete at its end.
+  class ServingStream;
+
+  // The pipeline: everything but the local endpoints. Serves early
+  // answers (static cache, 304 revalidation, stale), pulls the template
+  // until the response is whole or must commit, and at commit moves `x`
+  // into the returned response's body stream.
+  http::Response Proxy(std::unique_ptr<Exchange>& x,
+                       const http::Request& request);
+  // One upstream round trip behind the "dpc.upstream" seam, after the
+  // deadline check; failures are counted and classified into `x`.
+  Result<net::StreamingResponse> Fetch(Exchange& x,
+                                       const http::Request& request);
+  // Takes the next body chunk (read-ahead bytes first, else Pull) and
+  // feeds it to the assembler (a passthrough chunk goes to `out` as is);
+  // sets `*done` at end of body. After commit it first Drains.
+  Status Pump(Exchange& x, common::BufferChain& out, bool* done);
+  // Reads one chunk off the upstream body behind the "dpc.stream.chunk"
+  // seam and accounts it (upstream bytes, the template cap); at end of
+  // body releases the body, and with it a pooled connection.
+  Result<common::BufferChain> Pull(Exchange& x);
+  // Reads the rest of the upstream body into memory (`x.rest`).
+  Status Drain(Exchange& x);
+  // Fails `x` as a template error once `bytes` exceed max_template_bytes.
+  Status CapTemplate(Exchange& x, size_t bytes);
+  // Inline cold-cache recovery for the GET misses of one assembler call:
+  // peer fills first, then X-DPC-Refresh round trips for the keys still
+  // missing, executing each refreshed template's SETs into the store.
+  Status Recover(Exchange& x, std::vector<bem::DpcKey> missing);
+  // Records why `x` failed and counts it; returns `status`.
+  Status Fail(Exchange& x, Failure failure, Status status);
+  // The clean answer to a failure before commit.
+  http::Response Refuse(Exchange& x, const http::Request& request,
+                        const Status& failure);
+  // The completion step, once per proxied request: for a page delivered
+  // in full (`page` non-null) the cache fills, on_sets and serving
+  // counters; for every request the TTFB and duration histograms and the
+  // access-log line.
+  void Complete(Exchange& x, const http::Response* page);
   // The request forwarded upstream: hop-by-hop headers stripped, Via
   // appended (when proxy_headers is on), correlation id set.
   http::Request PrepareUpstream(const http::Request& base,
                                 const std::string& request_id) const;
-  // Inline cold-cache recovery for one streamed GET miss: refresh round
-  // trip for `key`, execute the refreshed template's SETs into the store,
-  // re-read the slot; retried up to max_recovery_attempts.
-  Result<FragmentRef> ResolveMiss(const http::Request& request,
-                                  const std::string& request_id,
-                                  bem::DpcKey key);
-  http::Response BuildAssembledResponse(const http::Request& request,
-                                        http::Response upstream,
-                                        AssembledPage page);
   // Degraded path: last-known-good page (Warning: 110 + Age) if one
   // exists, else 503 + Retry-After (or the legacy 502 when serve-stale is
   // off and the failure wasn't a breaker rejection).

@@ -327,6 +327,14 @@ Status StreamingScanner::Feed(common::Buffer chunk,
   return Feed(std::move(chunk), bytes, out);
 }
 
+Status StreamingScanner::Feed(const common::BufferChain& chunk,
+                              std::vector<StreamSegment>& out) {
+  for (const common::BufferChain::Slice& slice : chunk.slices()) {
+    DYNAPROX_RETURN_IF_ERROR(Feed(slice.buffer, slice.view(), out));
+  }
+  return Status::Ok();
+}
+
 Status StreamingScanner::Finish(std::vector<StreamSegment>& out) {
   if (state_ == State::kFailed) return failure_;
   if (state_ == State::kDone) return Status::Ok();

@@ -127,6 +127,9 @@ class StreamingScanner {
 
   // Whole-buffer convenience; `chunk` may be null (empty feed).
   Status Feed(common::Buffer chunk, std::vector<StreamSegment>& out);
+  // Scans every slice of `chunk` in order, stopping at the first error.
+  Status Feed(const common::BufferChain& chunk,
+              std::vector<StreamSegment>& out);
 
   // Marks end of template: flushes the trailing literal, rejects a
   // dangling partial tag or an unterminated SET block.

@@ -71,7 +71,7 @@ Status EdgeCluster::AddEdge(const std::string& node) {
     // Node names are captured by value; the node entry is looked up at
     // call time (std::map nodes are pointer-stable and never removed).
     proxy_options.miss_resolver = [this, node](bem::DpcKey key) {
-      return PeerFetch(node, key);
+      return PeerFetch(node, key).status();
     };
   }
   if (options_.replicate_sets) {

@@ -28,8 +28,7 @@ struct EdgeClusterOptions {
   // the origin refresh round trip.
   bool peer_fetch = true;
   // After a page assembles, copy each SET fragment to its ring owner so
-  // the owner can answer future peer fetches. Requires the buffered
-  // assembly path (streaming off) — on_sets does not fire when streaming.
+  // the owner can answer future peer fetches.
   bool replicate_sets = true;
   // Recent control-channel pushes kept per cluster for failover replay:
   // when a node is marked down, pushes that landed there are re-sent to

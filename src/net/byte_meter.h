@@ -50,16 +50,17 @@ class ByteMeter {
                           std::memory_order_relaxed);
   }
 
-  // Records bytes continuing an already-recorded message (streamed body
-  // chunks): payload and per-packet wire overhead accrue, the message
-  // count and per-message cost do not.
-  void RecordBytes(size_t payload_bytes) {
+  // Records `payload_bytes` continuing a message of which `message_bytes`
+  // are already recorded (streamed body chunks). Packets are counted over
+  // the whole message, so a message recorded in pieces meters exactly
+  // what one RecordMessage of its total would; the message count and
+  // per-message cost do not accrue again.
+  void RecordBytes(size_t message_bytes, size_t payload_bytes) {
     if (payload_bytes == 0) return;
-    size_t packets = (payload_bytes + model_.mss_bytes - 1) / model_.mss_bytes;
     payload_bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
-    wire_bytes_.fetch_add(
-        payload_bytes + packets * model_.per_packet_header_bytes,
-        std::memory_order_relaxed);
+    wire_bytes_.fetch_add(model_.WireBytes(message_bytes + payload_bytes) -
+                              model_.WireBytes(message_bytes),
+                          std::memory_order_relaxed);
   }
 
   void Reset() {

@@ -115,17 +115,8 @@ Result<StreamingResponse> FaultInjectingTransport::RoundTripStreaming(
     case Fault::kBlackHole:
       SleepMicros(options_.black_hole_micros);
       return Status::IoError("fault injection: timeout");
-    case Fault::kGarbage: {
-      http::Response garbage = MakeGarbageResponse();
-      common::BufferChain body;
-      body.Append(common::MakeBuffer(std::move(garbage.body)));
-      StreamingResponse streaming;
-      streaming.head = std::move(garbage);
-      streaming.head.body.clear();
-      streaming.body =
-          std::make_unique<BufferedBodyStream>(std::move(body));
-      return streaming;
-    }
+    case Fault::kGarbage:
+      return StreamWhole(MakeGarbageResponse());
     case Fault::kDelay:
       SleepMicros(options_.delay_micros);
       return inner_->RoundTripStreaming(request);

@@ -64,8 +64,7 @@ class FaultInjectingTransport : public Transport {
   // draw. Without this override the base-class adapter kicks in: it still
   // routes through RoundTrip (faults apply) but silently buffers the whole
   // body, so streamed requests never exercise the inner transport's real
-  // chunk timing and a fault test over --streaming is testing the wrong
-  // path.
+  // chunk timing and a fault test over the DPC is testing the wrong path.
   Result<StreamingResponse> RoundTripStreaming(
       const http::Request& request) override;
 

@@ -120,7 +120,7 @@ struct TcpClientOptions {
 // until its BodyStream is drained or destroyed — a concurrent RoundTrip
 // on the same transport blocks for the whole body, and one issued from
 // the thread consuming the stream deadlocks. A streaming consumer that
-// makes nested round trips (e.g. DpcProxy miss recovery) needs
+// makes nested round trips before draining the body needs
 // PooledClientTransport.
 class TcpClientTransport : public Transport {
  public:

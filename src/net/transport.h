@@ -60,22 +60,31 @@ class BufferedBodyStream : public http::BodyStream {
   common::BufferChain chain_;
 };
 
+// Wraps an already-complete response as a StreamingResponse: the body
+// becomes one chunk and the head declares its length, so a consumer can
+// tell that the whole body has arrived. The default RoundTripStreaming
+// adapter and decorators that answer without a wire use it.
+inline StreamingResponse StreamWhole(http::Response response) {
+  common::BufferChain body;
+  if (!response.body_chain.empty()) {
+    body = std::move(response.body_chain);
+  } else if (!response.body.empty()) {
+    body.Append(common::MakeBuffer(std::move(response.body)));
+  }
+  StreamingResponse streaming;
+  streaming.head = std::move(response);
+  streaming.head.body.clear();
+  streaming.head.body_chain.Clear();
+  streaming.head.headers.Set("Content-Length", std::to_string(body.size()));
+  streaming.body = std::make_unique<BufferedBodyStream>(std::move(body));
+  return streaming;
+}
+
 inline Result<StreamingResponse> Transport::RoundTripStreaming(
     const http::Request& request) {
   Result<http::Response> response = RoundTrip(request);
   if (!response.ok()) return response.status();
-  common::BufferChain body;
-  if (!response->body_chain.empty()) {
-    body = std::move(response->body_chain);
-  } else if (!response->body.empty()) {
-    body.Append(common::MakeBuffer(std::move(response->body)));
-  }
-  StreamingResponse streaming;
-  streaming.head = std::move(*response);
-  streaming.head.body.clear();
-  streaming.head.body_chain.Clear();
-  streaming.body = std::make_unique<BufferedBodyStream>(std::move(body));
-  return streaming;
+  return StreamWhole(std::move(*response));
 }
 
 // In-process transport that invokes a Handler directly. Used by the
@@ -114,8 +123,9 @@ class MeteredTransport : public Transport {
     return response;
   }
 
-  // Forwards so the inner transport's streaming stays live. The head is
-  // metered as one message; body bytes are metered per pulled chunk.
+  // Forwards so the inner transport's streaming stays live. The head
+  // opens the message and each pulled chunk continues it, so a response
+  // meters the same payload and wire bytes as through RoundTrip.
   Result<StreamingResponse> RoundTripStreaming(
       const http::Request& request) override {
     if (request_meter_ != nullptr) {
@@ -123,9 +133,10 @@ class MeteredTransport : public Transport {
     }
     Result<StreamingResponse> response = inner_->RoundTripStreaming(request);
     if (response.ok() && response_meter_ != nullptr) {
-      response_meter_->RecordMessage(response->head.SerializedSize());
+      const size_t head_bytes = response->head.SerializedSize();
+      response_meter_->RecordMessage(head_bytes);
       response->body = std::make_unique<MeteredBodyStream>(
-          std::move(response->body), response_meter_);
+          std::move(response->body), response_meter_, head_bytes);
     }
     return response;
   }
@@ -134,18 +145,22 @@ class MeteredTransport : public Transport {
   class MeteredBodyStream : public http::BodyStream {
    public:
     MeteredBodyStream(std::unique_ptr<http::BodyStream> inner,
-                      ByteMeter* meter)
-        : inner_(std::move(inner)), meter_(meter) {}
+                      ByteMeter* meter, size_t head_bytes)
+        : inner_(std::move(inner)), meter_(meter), message_bytes_(head_bytes) {}
 
     Result<common::BufferChain> Next() override {
       Result<common::BufferChain> chunk = inner_->Next();
-      if (chunk.ok()) meter_->RecordBytes(chunk->size());
+      if (chunk.ok()) {
+        meter_->RecordBytes(message_bytes_, chunk->size());
+        message_bytes_ += chunk->size();
+      }
       return chunk;
     }
 
    private:
     std::unique_ptr<http::BodyStream> inner_;
     ByteMeter* meter_;
+    size_t message_bytes_;  // Head plus body pulled so far.
   };
 
   std::unique_ptr<Transport> inner_;

@@ -17,6 +17,7 @@
 #include "bem/tag_codec.h"
 #include "common/buffer_chain.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "dpc/assembler.h"
 #include "dpc/fragment_store.h"
 #include "dpc/tag_scanner.h"
@@ -335,7 +336,7 @@ TEST(StreamingAssemblerTest, MatchesBufferedAssemblyAtEveryChunkSize) {
     ASSERT_TRUE(status.ok()) << "chunk_size=" << chunk_size << ": "
                              << status.ToString();
     EXPECT_EQ(streamed, reference->Text()) << "chunk_size=" << chunk_size;
-    // The store ends up in the same state as the buffered path.
+    // The store ends up in the same state as AssemblePage leaves it.
     Result<FragmentRef> stored = store.Get(1);
     ASSERT_TRUE(stored.ok());
     EXPECT_EQ(**stored, "fragment one");
@@ -369,16 +370,54 @@ TEST(StreamingAssemblerTest, MissResolverSuppliesColdFragment) {
   int calls = 0;
   StreamingAssembler assembler(
       store, ScanStrategy::kMemchr,
-      [&calls](bem::DpcKey key) -> Result<FragmentRef> {
+      [&](const std::vector<bem::DpcKey>& keys) {
         ++calls;
-        EXPECT_EQ(key, 0x9u);
-        return std::make_shared<const std::string>("recovered");
+        EXPECT_EQ(keys, std::vector<bem::DpcKey>{0x9});
+        return store.Set(0x9, std::make_shared<const std::string>("recovered"));
       });
   common::BufferChain out;
   ASSERT_TRUE(assembler.Feed(common::MakeBuffer(wire), out).ok());
   ASSERT_TRUE(assembler.Finish(out).ok());
   EXPECT_EQ(out.Flatten(), "[recovered]");
   EXPECT_EQ(calls, 1);
+}
+
+TEST(StreamingAssemblerTest, OneResolverCallServesEveryMissOfAFeed) {
+  // Three misses (one key twice) in one chunk of two slices: the resolver
+  // runs once with the distinct keys in template order, and every hole is
+  // filled in place, literals and SETs between them keeping their
+  // positions.
+  std::string wire = "a";
+  bem::TagCodec::AppendGet(0x5, wire);
+  wire += "b";
+  bem::TagCodec::AppendSet(0x1, "set", wire);
+  bem::TagCodec::AppendGet(0x3, wire);
+  bem::TagCodec::AppendGet(0x5, wire);
+  wire += "c";
+
+  FragmentStore store(16);
+  std::vector<std::vector<bem::DpcKey>> calls;
+  StreamingAssembler assembler(
+      store, ScanStrategy::kMemchr,
+      [&](const std::vector<bem::DpcKey>& keys) {
+        calls.push_back(keys);
+        for (bem::DpcKey key : keys) {
+          Status stored = store.Set(
+              key, std::make_shared<const std::string>("<" + ToHex(key) + ">"));
+          if (!stored.ok()) return stored;
+        }
+        return Status::Ok();
+      });
+  common::BufferChain chunk;
+  chunk.AppendCopy(wire.substr(0, 4));  // Splits the first GET tag.
+  chunk.AppendCopy(wire.substr(4));
+  common::BufferChain out;
+  ASSERT_TRUE(assembler.Feed(chunk, out).ok());
+  ASSERT_TRUE(assembler.Finish(out).ok());
+  EXPECT_EQ(out.Flatten(), "a<5>bset<3><5>c");
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0], (std::vector<bem::DpcKey>{0x5, 0x3}));
+  EXPECT_EQ(assembler.progress().set_keys, std::vector<bem::DpcKey>{0x1});
 }
 
 TEST(StreamingAssemblerTest, MissWithoutResolverFailsTheStream) {
@@ -397,8 +436,7 @@ TEST(StreamingAssemblerTest, ResolverErrorAbortsWithThatStatus) {
   bem::TagCodec::AppendGet(0x9, wire);
   FragmentStore store(16);
   StreamingAssembler assembler(
-      store, ScanStrategy::kMemchr,
-      [](bem::DpcKey) -> Result<FragmentRef> {
+      store, ScanStrategy::kMemchr, [](const std::vector<bem::DpcKey>&) {
         return Status::IoError("origin unreachable");
       });
   common::BufferChain out;
@@ -415,7 +453,7 @@ TEST(StreamingAssemblerTest, ResolverNotConsultedForWarmKeys) {
       store.Set(0x4, std::make_shared<const std::string>("warm")).ok());
   int calls = 0;
   StreamingAssembler assembler(store, ScanStrategy::kMemchr,
-                               [&calls](bem::DpcKey) -> Result<FragmentRef> {
+                               [&calls](const std::vector<bem::DpcKey>&) {
                                  ++calls;
                                  return Status::Internal("unexpected");
                                });

@@ -486,25 +486,10 @@ TEST_F(ChaosClusterTest, EveryFaultPointFiresAcrossAllLayers) {
     EXPECT_GT(fired("dpc.upstream"), fired_before["dpc.upstream"]);
   }
   {
-    snapshot("dpc.stream.prefetch");
-    ASSERT_TRUE(registry.Arm("dpc.stream.prefetch=1:error", 23).ok());
-    net::DirectTransport upstream([](const http::Request&) {
-      http::Response response = http::Response::MakeOk("<template body>");
-      response.headers.Set(bem::kTemplateHeader, "1");
-      return response;
-    });
-    dpc::ProxyOptions options;
-    options.capacity = 8;
-    options.streaming = true;
-    dpc::DpcProxy proxy(&upstream, options);
-    http::Request request;
-    EXPECT_EQ(proxy.Handle(request).status_code, 502);
-    EXPECT_GT(fired("dpc.stream.prefetch"),
-              fired_before["dpc.stream.prefetch"]);
-  }
-  {
-    // dpc.stream.chunk needs a committed stream with the body still in
-    // flight: a transport whose streaming path yields multiple chunks.
+    // dpc.stream.chunk guards every body-chunk boundary, so it needs a
+    // template whose body is still in flight: a transport whose streaming
+    // path yields multiple chunks. Before commit an injected fault is the
+    // clean 502 a failed upstream gets; after commit it truncates.
     class ChunkedTemplateTransport : public net::Transport {
      public:
       Result<http::Response> RoundTrip(const http::Request&) override {
@@ -536,27 +521,31 @@ TEST_F(ChaosClusterTest, EveryFaultPointFiresAcrossAllLayers) {
       }
     } upstream;
     snapshot("dpc.stream.chunk");
-    ASSERT_TRUE(registry.Arm("dpc.stream.chunk=1:error", 24).ok());
     dpc::ProxyOptions options;
     options.capacity = 8;
-    options.streaming = true;
     dpc::DpcProxy proxy(&upstream, options);
     http::Request request;
+    ASSERT_TRUE(registry.Arm("dpc.stream.chunk=1:error", 23).ok());
+    http::Response refused = proxy.Handle(request);
+    EXPECT_EQ(refused.status_code, 502);
+    EXPECT_EQ(refused.body_stream, nullptr);
+
+    registry.DisarmAll();
     http::Response response = proxy.Handle(request);
-    if (response.body_stream != nullptr) {
-      // Drain: the armed chunk seam aborts mid-body — honest truncation.
-      Status drained = Status::Ok();
-      for (;;) {
-        Result<common::BufferChain> chunk = response.body_stream->Next();
-        if (!chunk.ok()) {
-          drained = chunk.status();
-          break;
-        }
-        if (chunk->empty()) break;
+    ASSERT_NE(response.body_stream, nullptr);
+    ASSERT_TRUE(registry.Arm("dpc.stream.chunk=1:error", 24).ok());
+    // Drain: the armed chunk seam aborts mid-body — honest truncation.
+    Status drained = Status::Ok();
+    for (;;) {
+      Result<common::BufferChain> chunk = response.body_stream->Next();
+      if (!chunk.ok()) {
+        drained = chunk.status();
+        break;
       }
-      EXPECT_FALSE(drained.ok());
-      EXPECT_EQ(proxy.stats().stream_aborts, 1u);
+      if (chunk->empty()) break;
     }
+    EXPECT_FALSE(drained.ok());
+    EXPECT_EQ(proxy.stats().stream_aborts, 1u);
     EXPECT_GT(fired("dpc.stream.chunk"), fired_before["dpc.stream.chunk"]);
   }
 
@@ -666,8 +655,7 @@ TEST_F(ChaosClusterTest, EveryFaultPointFiresAcrossAllLayers) {
   std::vector<std::string> swept = {
       "net.connect",       "net.pool.checkout",    "net.write",
       "net.read",          "net.close",            "net.accept",
-      "dpc.upstream",
-      "dpc.stream.prefetch", "dpc.stream.chunk",   "bem.block.generate",
+      "dpc.upstream",      "dpc.stream.chunk",     "bem.block.generate",
       "bem.directory.insert", "bem.directory.evict", "bem.push.admit",
       "bem.push.post",     "edge.peer_fetch"};
   std::map<std::string, int> layers;

@@ -303,7 +303,7 @@ TEST_F(ObservabilityTest, ProxyStatusSkeletonIsByteCompatible) {
       "\"passthrough\":N,\"recoveries\":N,\"upstream_errors\":N,"
       "\"template_errors\":N,\"stale_served\":N,\"breaker_rejections\":N,"
       "\"degraded_503s\":N,\"bytes_from_upstream\":N,"
-      "\"bytes_to_clients\":N,\"streamed\":N,\"stream_fallbacks\":N,"
+      "\"bytes_to_clients\":N,\"streamed\":N,"
       "\"stream_aborts\":N,\"deadline_exceeded\":N,"
       "\"store\":{\"capacity\":N,"
       "\"occupied_slots\":N,\"content_bytes\":N,"

@@ -1,13 +1,17 @@
-// Streaming scan-and-splice equivalence, full stack over real sockets:
-// the same appserver workload fetched through a buffered DPC and a
-// streaming DPC must produce byte-identical pages on every request —
-// warm, cold, and after the proxy cache is wiped mid-workload (the
-// inline recovery path). Each proxy gets its own origin stack (own BEM
-// monitor) so the SET/GET handshakes are symmetric and the comparison
-// is apples to apples.
+// Whole-vs-streamed equivalence, full stack: the DPC serves every page
+// through one pipeline, whole when the template arrived complete and as a
+// committed chunked stream while template bytes are still in flight. The
+// same appserver workload fetched both ways must produce byte-identical
+// pages on every request — warm, after the streaming proxy's cache is
+// wiped (every fragment then recovers inline, mid-stream), and after a
+// content update. Each proxy gets its own origin stack (own BEM monitor)
+// so the SET/GET handshakes are symmetric.
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,12 +29,37 @@
 namespace dynaprox {
 namespace {
 
-// One complete serving chain: origin(+BEM) -> TcpServer -> pooled
-// upstream -> DpcProxy -> front TcpServer -> buffered client.
+// Re-frames a whole origin body as three chunks a few milliseconds apart,
+// so the DPC sees template bytes still in flight on every response.
+class PacedChunks : public http::BodyStream {
+ public:
+  explicit PacedChunks(std::string body) : body_(std::move(body)) {
+    step_ = std::max<size_t>(1, (body_.size() + 2) / 3);
+  }
+
+  Result<common::BufferChain> Next() override {
+    common::BufferChain out;
+    if (at_ >= body_.size()) return out;
+    if (at_ > 0) std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    out.AppendCopy(std::string_view(body_).substr(at_, step_));
+    at_ += step_;
+    return out;
+  }
+
+ private:
+  std::string body_;
+  size_t step_ = 1;
+  size_t at_ = 0;
+};
+
+// One origin (own BEM) and one DPC. `streamed`: the origin sits behind a
+// TcpServer that paces every body out in chunks, reached over a pooled
+// upstream, and clients fetch through the DPC's own TcpServer. Otherwise
+// the DPC reaches the origin in process and every page arrives whole.
 struct Stack {
   Stack(appserver::ScriptRegistry* registry,
         storage::ContentRepository* repository, SimClock* clock,
-        bool streaming) {
+        bool streamed) {
     bem::BemOptions bem_options;
     bem_options.capacity = 64;
     bem_options.clock = clock;
@@ -38,15 +67,27 @@ struct Stack {
     monitor->AttachRepository(repository);
     origin = std::make_unique<appserver::OriginServer>(registry, repository,
                                                        monitor.get());
-    origin_server = std::make_unique<net::TcpServer>(origin->AsHandler());
+    dpc::ProxyOptions proxy_options;
+    proxy_options.capacity = 64;
+    if (!streamed) {
+      upstream = std::make_unique<net::DirectTransport>(origin->AsHandler());
+      proxy = std::make_unique<dpc::DpcProxy>(upstream.get(), proxy_options);
+      return;
+    }
+    origin_server = std::make_unique<net::TcpServer>(
+        [this](const http::Request& request) {
+          http::Response response = origin->Handle(request);
+          response.body_stream =
+              std::make_shared<PacedChunks>(response.BodyText());
+          response.body.clear();
+          response.body_chain.Clear();
+          return response;
+        });
     if (!origin_server->Start().ok()) abort();
     net::PooledTransportOptions pool_options;
     pool_options.pool.max_connections = 2;
     upstream = std::make_unique<net::PooledClientTransport>(
         "127.0.0.1", origin_server->port(), pool_options);
-    dpc::ProxyOptions proxy_options;
-    proxy_options.capacity = 64;
-    proxy_options.streaming = streaming;
     proxy = std::make_unique<dpc::DpcProxy>(upstream.get(), proxy_options);
     front = std::make_unique<net::TcpServer>(proxy->AsHandler());
     if (!front->Start().ok()) abort();
@@ -55,13 +96,18 @@ struct Stack {
   }
 
   ~Stack() {
-    front->Stop();
-    origin_server->Stop();
+    if (front != nullptr) front->Stop();
+    if (origin_server != nullptr) origin_server->Stop();
   }
 
   std::string Fetch(const std::string& target) {
     http::Request request;
     request.target = target;
+    if (client == nullptr) {
+      http::Response response = proxy->Handle(request);
+      if (response.body_stream != nullptr) return "<unexpected stream>";
+      return response.BodyText();
+    }
     Result<http::Response> response = client->RoundTrip(request);
     if (!response.ok()) return "<transport error>";
     return std::string(response->body);
@@ -70,7 +116,7 @@ struct Stack {
   std::unique_ptr<bem::BackEndMonitor> monitor;
   std::unique_ptr<appserver::OriginServer> origin;
   std::unique_ptr<net::TcpServer> origin_server;
-  std::unique_ptr<net::PooledClientTransport> upstream;
+  std::unique_ptr<net::Transport> upstream;
   std::unique_ptr<dpc::DpcProxy> proxy;
   std::unique_ptr<net::TcpServer> front;
   std::unique_ptr<net::TcpClientTransport> client;
@@ -84,8 +130,7 @@ class StreamingEquivalenceTest : public ::testing::Test {
                                      "Streaming ships today"))}});
 
     // Three pages sharing fragments: "headlines" appears on two of them,
-    // and /big pads its layout past one socket read so the streaming
-    // proxy genuinely flushes head bytes before the template ends.
+    // and /big pads its layout past one socket read.
     registry_.RegisterOrReplace(
         "/home", [](appserver::ScriptContext& context) {
           context.Emit("<html><h1>Home</h1>");
@@ -139,63 +184,65 @@ class StreamingEquivalenceTest : public ::testing::Test {
           return Status::Ok();
         });
 
-    buffered_ = std::make_unique<Stack>(&registry_, &repository_, &clock_,
-                                        /*streaming=*/false);
-    streaming_ = std::make_unique<Stack>(&registry_, &repository_, &clock_,
-                                         /*streaming=*/true);
+    whole_ = std::make_unique<Stack>(&registry_, &repository_, &clock_,
+                                     /*streamed=*/false);
+    streamed_ = std::make_unique<Stack>(&registry_, &repository_, &clock_,
+                                        /*streamed=*/true);
   }
 
+  // Fetches every page twice from both stacks; each streamed fetch must
+  // commit a stream and match the whole page byte for byte.
   void ExpectWorkloadIdentical(const char* label) {
     for (int round = 0; round < 2; ++round) {
       for (const std::string& target : {std::string("/home"),
                                         std::string("/news"),
                                         std::string("/big")}) {
-        std::string expected = buffered_->Fetch(target);
-        ASSERT_NE(expected, "<transport error>") << label << " " << target;
-        EXPECT_EQ(streaming_->Fetch(target), expected)
+        std::string expected = whole_->Fetch(target);
+        ASSERT_EQ(expected.find("<html>"), 0u) << label << " " << target;
+        uint64_t streamed_before = streamed_->proxy->stats().streamed;
+        EXPECT_EQ(streamed_->Fetch(target), expected)
             << label << " round=" << round << " target=" << target;
+        EXPECT_EQ(streamed_->proxy->stats().streamed, streamed_before + 1)
+            << label << " " << target;
       }
     }
+    EXPECT_EQ(whole_->proxy->stats().streamed, 0u);
+    EXPECT_EQ(streamed_->proxy->stats().stream_aborts, 0u);
   }
 
   SimClock clock_;
   storage::ContentRepository repository_;
   appserver::ScriptRegistry registry_;
-  std::unique_ptr<Stack> buffered_;
-  std::unique_ptr<Stack> streaming_;
+  std::unique_ptr<Stack> whole_;
+  std::unique_ptr<Stack> streamed_;
 };
 
-TEST_F(StreamingEquivalenceTest, WorkloadIsByteIdenticalAcrossPaths) {
+TEST_F(StreamingEquivalenceTest, WholeAndStreamedPagesAreByteIdentical) {
   ExpectWorkloadIdentical("warm-up");
+  EXPECT_EQ(streamed_->proxy->stats().recoveries, 0u);
 
-  // Steady state: templates are GET-heavy now, and the streaming proxy
-  // has been committing streams (the big page cannot fit one read).
-  EXPECT_GE(streaming_->proxy->stats().streamed, 1u);
-  EXPECT_EQ(streaming_->proxy->stats().stream_aborts, 0u);
-
-  // Wipe the streaming proxy's fragment cache only: its origin still
-  // sends GET-style templates, so every fragment is a cold miss that has
-  // to be recovered inline — mid-stream for the big page — and the pages
-  // must STILL match the buffered proxy byte for byte.
-  streaming_->proxy->ClearCache();
+  // Wipe the streaming proxy's fragment cache only: its origin still sends
+  // GET-style templates, so every fragment is a cold miss recovered inline
+  // after the head has been committed — and the pages must STILL match
+  // the whole ones byte for byte.
+  streamed_->proxy->ClearCache();
   ExpectWorkloadIdentical("post-clear");
-  EXPECT_GE(streaming_->proxy->stats().recoveries, 1u);
-  EXPECT_EQ(streaming_->proxy->stats().stream_aborts, 0u);
+  EXPECT_GE(streamed_->proxy->stats().recoveries, 1u);
 }
 
-TEST_F(StreamingEquivalenceTest, ContentUpdatePropagatesToBothPaths) {
+TEST_F(StreamingEquivalenceTest, ContentUpdateReachesWholeAndStreamedPages) {
   ExpectWorkloadIdentical("initial");
 
   // An origin-side content change rides the repository update bus into
   // both BEM monitors, invalidating the shared "headlines" fragment; both
-  // paths must converge on the new bytes, not serve stale cache.
+  // stacks must converge on the new bytes, not serve stale cache.
   storage::Table* news = *repository_.GetTable("news");
   news->Upsert("n1", {{"text", storage::Value(std::string(
                                    "Second edition headline"))}});
 
-  std::string home = buffered_->Fetch("/home");
+  std::string home = whole_->Fetch("/home");
   EXPECT_NE(home.find("Second edition headline"), std::string::npos);
-  EXPECT_EQ(streaming_->Fetch("/home"), home);
+  EXPECT_EQ(streamed_->Fetch("/home"), home);
   ExpectWorkloadIdentical("post-update");
 }
 

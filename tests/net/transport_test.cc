@@ -8,6 +8,7 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -52,6 +53,75 @@ TEST(MeteredTransportTest, NullMetersAreSkipped) {
                              nullptr, nullptr);
   http::Request request;
   EXPECT_TRUE(transport.RoundTrip(request).ok());
+}
+
+// A response pulled as a stream must meter exactly what the same response
+// meters whole: payload and wire bytes, packets counted over the message.
+void ExpectStreamedMetersLikeWhole(std::unique_ptr<Transport> whole_inner,
+                                   std::unique_ptr<Transport> stream_inner) {
+  ByteMeter whole_meter;  // Default model: 40 B/packet, 1460 MSS, 120 B/msg.
+  ByteMeter stream_meter;
+  MeteredTransport whole(std::move(whole_inner), nullptr, &whole_meter);
+  MeteredTransport streamed(std::move(stream_inner), nullptr, &stream_meter);
+  http::Request request;
+  ASSERT_TRUE(whole.RoundTrip(request).ok());
+  Result<StreamingResponse> response = streamed.RoundTripStreaming(request);
+  ASSERT_TRUE(response.ok());
+  for (;;) {
+    Result<common::BufferChain> chunk = response->body->Next();
+    ASSERT_TRUE(chunk.ok());
+    if (chunk->empty()) break;
+  }
+  EXPECT_EQ(stream_meter.messages(), whole_meter.messages());
+  EXPECT_EQ(stream_meter.payload_bytes(), whole_meter.payload_bytes());
+  EXPECT_EQ(stream_meter.wire_bytes(), whole_meter.wire_bytes());
+}
+
+TEST(MeteredTransportTest, MultiChunkStreamMetersLikeWholeResponse) {
+  // The same 5000-byte response, whole or in three chunks of a head that
+  // declares its length, as a socket transport delivers it.
+  class ThreeChunks : public Transport {
+   public:
+    Result<http::Response> RoundTrip(const http::Request&) override {
+      http::Response response = http::Response::MakeOk(std::string(5000, 'b'));
+      response.headers.Set("Content-Length", "5000");
+      return response;
+    }
+    Result<StreamingResponse> RoundTripStreaming(
+        const http::Request&) override {
+      class Body : public http::BodyStream {
+       public:
+        Result<common::BufferChain> Next() override {
+          common::BufferChain out;
+          if (at_ < sizes_.size()) {
+            out.AppendCopy(std::string(sizes_[at_++], 'b'));
+          }
+          return out;
+        }
+
+       private:
+        std::vector<size_t> sizes_ = {1000, 1500, 2500};
+        size_t at_ = 0;
+      };
+      StreamingResponse streaming;
+      streaming.head = http::Response::MakeOk("");
+      streaming.head.headers.Set("Content-Length", "5000");
+      streaming.body = std::make_unique<Body>();
+      return streaming;
+    }
+  };
+  ExpectStreamedMetersLikeWhole(std::make_unique<ThreeChunks>(),
+                                std::make_unique<ThreeChunks>());
+}
+
+TEST(MeteredTransportTest, InProcessStreamMetersLikeWholeResponse) {
+  // The default adapter's head declares the body length, so an in-process
+  // response does not meter as a Content-Length: 0 head plus a body.
+  auto handler = [](const http::Request&) {
+    return http::Response::MakeOk(std::string(3000, 'd'));
+  };
+  ExpectStreamedMetersLikeWhole(std::make_unique<DirectTransport>(handler),
+                                std::make_unique<DirectTransport>(handler));
 }
 
 TEST(IdempotencyTest, SafeToRetryRules) {

@@ -6,7 +6,7 @@
 //   ./dynaprox_proxy --port=8080 --origin-host=127.0.0.1
 //       --origin-port=8081 [--capacity=4096] [--pool-size=8]
 //       [--server=threads|epoll] [--workers=2]
-//       [--static-cache] [--debug] [--streaming] [--enable-push]
+//       [--static-cache] [--debug] [--enable-push]
 //       [--breaker] [--breaker-window=32] [--breaker-error-threshold=0.5]
 //       [--breaker-cooldown-ms=1000]
 //       [--serve-stale] [--stale-capacity=256] [--max-stale-sec=0]
@@ -36,10 +36,10 @@
 // dynaprox_origin --push-min-score) and GET /_dynaprox/fragment?key=hex
 // serves owned fragments to ring peers.
 //
-// --streaming turns on streaming scan-and-splice (docs/architecture.md):
-// assembled bytes are flushed to the client, chunked, while the template
-// tail is still arriving from the origin. Requests are served streamed
-// only while --static-cache, --serve-stale, and --debug are all off.
+// Every response runs one scan-and-splice pipeline
+// (docs/architecture.md): a page whose template arrived whole is served
+// with Content-Length; one whose template is still arriving is flushed to
+// the client, chunked, as it assembles.
 //
 // --server picks the ingress engine: "threads" (default) is the blocking
 // thread-per-connection server, "epoll" the event-loop server. With
@@ -218,7 +218,6 @@ int main(int argc, char** argv) {
     options.worker_ingress_count = worker_count;
   }
   options.add_debug_header = flags->GetBool("debug");
-  options.streaming = flags->GetBool("streaming");
   options.enable_static_cache = flags->GetBool("static-cache");
   options.enable_push = flags->GetBool("enable-push");
   options.enable_status = true;
@@ -262,7 +261,7 @@ int main(int argc, char** argv) {
     bound_port = thread_server->port();
   }
   std::printf("DPC listening on 127.0.0.1:%u -> upstream %s:%lld "
-              "(capacity %lld, pool %lld%s%s%s%s%s)\n",
+              "(capacity %lld, pool %lld%s%s%s%s)\n",
               bound_port, origin_host.c_str(),
               static_cast<long long>(*origin_port),
               static_cast<long long>(*capacity),
@@ -270,7 +269,6 @@ int main(int argc, char** argv) {
               options.enable_static_cache ? ", static cache on" : "",
               enable_breaker ? ", breaker on" : "",
               serve_stale ? ", serve-stale on" : "",
-              options.streaming ? ", streaming on" : "",
               options.enable_push ? ", push endpoint on" : "");
   std::fflush(stdout);
 
@@ -297,13 +295,6 @@ int main(int argc, char** argv) {
           ? 0.0
           : 100.0 * (1.0 - static_cast<double>(stats.bytes_from_upstream) /
                                static_cast<double>(stats.bytes_to_clients)));
-  if (options.streaming) {
-    std::printf(
-        "streaming: %llu streamed, %llu prefetch fallbacks, %llu aborts\n",
-        static_cast<unsigned long long>(stats.streamed),
-        static_cast<unsigned long long>(stats.stream_fallbacks),
-        static_cast<unsigned long long>(stats.stream_aborts));
-  }
   std::printf(
       "upstream pool: %llu checkouts over %llu connections (%llu "
       "reconnects, %llu stale closed, %llu waiter timeouts)\n",
