@@ -80,6 +80,20 @@ void OriginServer::RegisterMetrics() {
     registry_mx_.RegisterCallbackGauge(
         "dynaprox_bem_directory_capacity", "dpcKey slots configured.",
         [monitor] { return static_cast<double>(monitor->capacity()); });
+    registry_mx_.RegisterCallbackGauge(
+        "dynaprox_bem_directory_valid_entries",
+        "Valid directory entries (fragments the DPC can serve by GET).",
+        [monitor] {
+          return static_cast<double>(monitor->directory().valid_count());
+        });
+    registry_mx_.RegisterCallbackGauge(
+        "dynaprox_bem_dependency_fragments",
+        "Fragments with registered data-source dependencies; at most the "
+        "valid entries.",
+        [monitor] {
+          return static_cast<double>(
+              monitor->dependencies().fragment_count());
+        });
     registry_mx_.RegisterCallbackCounter(
         "dynaprox_bem_directory_hits_total", "Directory lookup hits.",
         [monitor] { return monitor->stats().hits; });

@@ -55,7 +55,7 @@ void ScriptContext::RegisterAndEmit(
   const Clock* clock = instrumented ? metrics_->clock : nullptr;
 
   ++stats_.misses;
-  Result<bem::DpcKey> key = monitor_->InsertFragment(id, ttl_micros);
+  Result<bem::DpcKey> key = monitor_->InsertFragment(id, ttl_micros, deps);
   if (!key.ok()) {
     // Directory full and unevictable: degrade to uncached emission.
     DYNAPROX_LOG(kWarning, "appserver")
@@ -64,9 +64,6 @@ void ScriptContext::RegisterAndEmit(
     ++stats_.uncacheable;
     bem::TagCodec::AppendLiteral(output, out);
     return;
-  }
-  for (const auto& [table, row_key] : deps) {
-    monitor_->AddDependency(id, table, row_key);
   }
   inserted_.emplace_back(id.Canonical(), *key);
   if (capture_ != nullptr) {

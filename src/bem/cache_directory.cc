@@ -37,6 +37,9 @@ void CacheDirectory::InvalidateEntryLocked(const std::string& canonical,
   assert(entry.is_valid);
   entry.is_valid = false;
   valid_count_.fetch_sub(1, std::memory_order_relaxed);
+  // Dropped under the stripe lock: once the lock is released, a re-render
+  // may publish this fragment again with fresh dependencies.
+  registry_.RemoveFragment(canonical);
   {
     std::lock_guard<common::ContendedMutex> policy_lock(policy_mu_);
     policy_->OnRemove(canonical);
@@ -124,7 +127,8 @@ Status CacheDirectory::EvictOne() {
 }
 
 Result<DpcKey> CacheDirectory::Insert(const FragmentId& id,
-                                      MicroTime ttl_micros) {
+                                      MicroTime ttl_micros,
+                                      const DependencyList& deps) {
   if (Status injected = chaos::InjectStatus(
           DYNAPROX_FAULT_POINT("bem.directory.insert"));
       !injected.ok()) {
@@ -166,10 +170,10 @@ Result<DpcKey> CacheDirectory::Insert(const FragmentId& id,
   // be reclaiming it.
   ReclaimKeyOwner(*key);
 
-  // Phase D — publish. Re-check for a concurrent insert of the same
-  // fragment that won between phases A and D: its entry must be
-  // invalidated (releasing its key) before being overwritten, or the key
-  // would leak.
+  // Phase D — publish the entry with its dependencies. Re-check for a
+  // concurrent insert of the same fragment that won between phases A and
+  // D: its entry must be invalidated (releasing its key and dropping its
+  // dependencies) before being overwritten, or the key would leak.
   {
     std::lock_guard<common::ContendedMutex> lock(stripe.mu);
     auto it = stripe.entries.find(canonical);
@@ -180,6 +184,9 @@ Result<DpcKey> CacheDirectory::Insert(const FragmentId& id,
     }
     stripe.entries[canonical] =
         Entry{*key, /*is_valid=*/true, ttl_micros, clock_->NowMicros()};
+    for (const auto& [table, row_key] : deps) {
+      registry_.Add(canonical, table, row_key);
+    }
     {
       std::lock_guard<std::mutex> owner_lock(owner_mu_);
       key_owner_[*key] = canonical;
@@ -295,6 +302,7 @@ CacheDirectory::ConcurrencyStats CacheDirectory::concurrency_stats() const {
   }
   stats.policy_contentions = policy_mu_.contended_acquisitions();
   stats.free_list_contentions = free_list_.contentions();
+  stats.registry_contentions = registry_.contentions();
   stats.insert_races = insert_races_.load(std::memory_order_relaxed);
   return stats;
 }

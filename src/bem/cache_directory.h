@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "bem/dependency_registry.h"
 #include "bem/free_list.h"
 #include "bem/replacement.h"
 #include "bem/types.h"
@@ -50,15 +51,24 @@ struct DirectoryStats {
 };
 
 // The cache directory (paper 4.3.3): the BEM's single source of truth about
-// what the DPC holds. Maps fragmentID -> {dpcKey, isValid, ttl}.
+// what the DPC holds. Maps fragmentID -> {dpcKey, isValid, ttl}, and owns
+// the data-source dependencies of every valid entry.
 //
-// Lifecycle invariants (tested in cache_directory_test.cc):
+// Lifecycle invariants (tested in cache_directory_test.cc, monitor_test.cc
+// and concurrency_test.cc):
 //  * Every key in [0, capacity) is either on the free list or owned by
 //    exactly one VALID entry... with one paper-faithful subtlety: an
 //    INVALID entry keeps referencing its released key until that key is
 //    reassigned, at which point the stale entry is reclaimed. ("invalid
 //    fragments are not explicitly removed from the DPC; the slots simply
 //    remain unused until they are subsequently assigned to a new fragment")
+//  * A valid entry <=> its dependencies are registered. Insert adds them
+//    when it publishes the entry; InvalidateEntryLocked, the one step every
+//    exit from validity runs through (eviction, TTL expiry, explicit and
+//    key invalidation, InvalidateAll, re-insert), removes them. Both run
+//    under the entry's stripe lock, so a data-source update can never
+//    erase a newer incarnation's dependencies, and the registry is bounded
+//    by capacity.
 //  * Invalidation never communicates with the DPC.
 //  * Directory size never exceeds capacity (quiescent; a burst of
 //    concurrent inserts can transiently overshoot by the number of
@@ -70,8 +80,11 @@ struct DirectoryStats {
 // one directory mutex. Counters are relaxed atomics.
 //
 // Lock hierarchy (deadlock discipline): a stripe mutex may be held while
-// taking the policy mutex, the key-owner mutex, or the free list's
-// internal mutex — all leaves. No operation ever holds two stripe mutexes,
+// taking the policy mutex, the key-owner mutex, the dependency registry's
+// mutex, or the free list's internal mutex — all leaves. Nothing takes a
+// stripe mutex while holding the registry mutex: a data-source update
+// reads DependencyRegistry::Affected first and invalidates after it
+// returns. No operation ever holds two stripe mutexes,
 // and cross-stripe work (eviction of a victim in another stripe, reclaim
 // of a stale key owner) runs with no stripe mutex held, re-validating
 // under the target stripe's lock. The replacement policy stays one global
@@ -92,11 +105,14 @@ class CacheDirectory {
   // entries are invalidated lazily here.
   LookupResult Lookup(const FragmentId& id);
 
-  // Registers `id` as cached and returns its new dpcKey. If the key space
-  // is full, evicts a victim chosen by the replacement policy. Re-inserting
-  // a currently-valid fragment first invalidates it (fresh key), matching
-  // the paper's miss-path ("an entry is inserted into the cache directory").
-  Result<DpcKey> Insert(const FragmentId& id, MicroTime ttl_micros);
+  // Registers `id` as cached with the data-source dependencies `deps` and
+  // returns its new dpcKey. If the key space is full, evicts a victim
+  // chosen by the replacement policy. Re-inserting a currently-valid
+  // fragment first invalidates it (fresh key, and `deps` replace its old
+  // dependencies), matching the paper's miss-path ("an entry is inserted
+  // into the cache directory").
+  Result<DpcKey> Insert(const FragmentId& id, MicroTime ttl_micros,
+                        const DependencyList& deps = {});
 
   // Marks `id` invalid and pushes its key on the free list. NotFound if the
   // fragment is unknown or already invalid.
@@ -128,6 +144,8 @@ class CacheDirectory {
   size_t free_key_count() const { return free_list_.free_count(); }
   DirectoryStats stats() const;
   const ReplacementPolicy& policy() const { return *policy_; }
+  // The valid entries' dependencies; data-source updates start here.
+  const DependencyRegistry& dependencies() const { return registry_; }
 
   // Parallelism counters: evidence that concurrent callers really hit
   // different stripes (and how often the shared structures still collide).
@@ -135,6 +153,7 @@ class CacheDirectory {
     uint64_t stripe_contentions = 0;     // Contended stripe-mutex locks.
     uint64_t policy_contentions = 0;     // Contended policy-mutex locks.
     uint64_t free_list_contentions = 0;  // Contended free-list locks.
+    uint64_t registry_contentions = 0;   // Contended registry locks.
     uint64_t insert_races = 0;  // Insert rounds retried under concurrency.
   };
   ConcurrencyStats concurrency_stats() const;
@@ -172,9 +191,9 @@ class CacheDirectory {
   }
 
   bool Expired(const Entry& entry) const;
-  // Shared invalidation: flips the flag, releases the key, updates policy.
-  // Caller holds the entry's stripe mutex. `pin_key` releases to the front
-  // of the free list (refresh reuse).
+  // Shared invalidation: flips the flag, drops the dependencies, releases
+  // the key, updates policy. Caller holds the entry's stripe mutex.
+  // `pin_key` releases to the front of the free list (refresh reuse).
   void InvalidateEntryLocked(const std::string& canonical, Entry& entry,
                              bool pin_key = false);
   // Reclaims the stale invalid entry (if any) that still references `key`.
@@ -188,6 +207,8 @@ class CacheDirectory {
   std::unique_ptr<ReplacementPolicy> policy_;  // Guarded by policy_mu_.
   mutable common::ContendedMutex policy_mu_;
   FreeList free_list_;  // Internally synchronized.
+  // Written only under the stripe lock of the fragment concerned.
+  DependencyRegistry registry_;  // Internally synchronized.
   mutable std::array<Stripe, kStripes> stripes_;
   // key -> canonical fragment id of the entry referencing it ("" if none).
   // Guarded by owner_mu_ (leaf lock; element k is only rewritten by the

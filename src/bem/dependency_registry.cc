@@ -26,12 +26,6 @@ void DependencyRegistry::RemoveFragment(const std::string& canonical) {
   by_fragment_.erase(it);
 }
 
-void DependencyRegistry::Clear() {
-  std::lock_guard<common::ContendedMutex> lock(mu_);
-  by_source_.clear();
-  by_fragment_.clear();
-}
-
 std::vector<std::string> DependencyRegistry::Affected(
     const storage::UpdateEvent& event) const {
   std::lock_guard<common::ContendedMutex> lock(mu_);

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/contended_mutex.h"
@@ -11,15 +12,26 @@
 
 namespace dynaprox::bem {
 
+// A fragment's declared data-source dependencies: (table, row_key) pairs,
+// where an empty row_key means the whole table.
+using DependencyList = std::vector<std::pair<std::string, std::string>>;
+
 // Tracks which cached fragments depend on which data-source rows, enabling
 // the cache invalidation manager's "updates to the underlying data sources"
 // trigger (paper 4.3.3). A dependency is (table) or (table, row-key); a
 // table-level dependency is invalidated by any mutation of that table.
 //
-// Thread-safe behind one internal mutex: parallel block generators Add
-// concurrently while data-source updates fan out through Affected. The
-// two index maps must stay mutually consistent, so a single mutex (not
-// striping) is the right shape; contentions() shows whether it matters.
+// Owned by CacheDirectory, which adds a fragment's dependencies when it
+// publishes the entry and removes them when the entry stops being valid,
+// both under the entry's stripe lock. The registry therefore holds exactly
+// the valid entries' dependencies and is bounded by the directory's
+// capacity. Affected takes only the registry mutex and returns before the
+// caller invalidates the fragments it names.
+//
+// Thread-safe behind one internal mutex, a leaf under the directory's
+// stripe mutexes. The two index maps must stay mutually consistent, so a
+// single mutex (not striping) is the right shape; contentions() shows
+// whether it matters.
 class DependencyRegistry {
  public:
   // Declares that fragment `canonical` depends on `table` (whole table when
@@ -27,11 +39,8 @@ class DependencyRegistry {
   void Add(const std::string& canonical, const std::string& table,
            const std::string& row_key = "");
 
-  // Drops all dependencies of `canonical` (fragment invalidated/reclaimed).
+  // Drops all dependencies of `canonical` (its entry stopped being valid).
   void RemoveFragment(const std::string& canonical);
-
-  // Drops every dependency (full-cache invalidation).
-  void Clear();
 
   // Fragments affected by `event`, in deterministic (sorted) order.
   std::vector<std::string> Affected(const storage::UpdateEvent& event) const;

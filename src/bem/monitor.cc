@@ -36,13 +36,10 @@ LookupResult BackEndMonitor::LookupFragment(const FragmentId& id) {
 }
 
 Result<DpcKey> BackEndMonitor::InsertFragment(const FragmentId& id,
-                                              MicroTime ttl_micros) {
+                                              MicroTime ttl_micros,
+                                              const DependencyList& deps) {
   if (ttl_micros < 0) ttl_micros = default_ttl_micros_;
-  // A fresh insert supersedes any dependencies registered for the previous
-  // incarnation of this fragment; the generating code block re-declares
-  // them as it runs.
-  registry_.RemoveFragment(id.Canonical());
-  Result<DpcKey> key = directory_.Insert(id, ttl_micros);
+  Result<DpcKey> key = directory_.Insert(id, ttl_micros, deps);
   if (key.ok()) {
     if (FragmentEventObserver* obs = observer(); obs != nullptr) {
       obs->OnInsert(id.Canonical(), *key);
@@ -51,14 +48,7 @@ Result<DpcKey> BackEndMonitor::InsertFragment(const FragmentId& id,
   return key;
 }
 
-void BackEndMonitor::AddDependency(const FragmentId& id,
-                                   const std::string& table,
-                                   const std::string& row_key) {
-  registry_.Add(id.Canonical(), table, row_key);
-}
-
 Status BackEndMonitor::Invalidate(const FragmentId& id) {
-  registry_.RemoveFragment(id.Canonical());
   Status status = directory_.Invalidate(id);
   if (status.ok()) {
     if (FragmentEventObserver* obs = observer(); obs != nullptr) {
@@ -71,7 +61,6 @@ Status BackEndMonitor::Invalidate(const FragmentId& id) {
 Status BackEndMonitor::InvalidateKey(DpcKey key) {
   Result<std::string> owner = directory_.InvalidateKey(key);
   if (!owner.ok()) return owner.status();
-  registry_.RemoveFragment(*owner);
   if (FragmentEventObserver* obs = observer(); obs != nullptr) {
     obs->OnInvalidate(*owner);
   }
@@ -79,18 +68,10 @@ Status BackEndMonitor::InvalidateKey(DpcKey key) {
 }
 
 Result<std::string> BackEndMonitor::RefreshKey(DpcKey key) {
-  Result<std::string> owner = directory_.InvalidateKey(key, /*pin_key=*/true);
-  if (!owner.ok()) return owner.status();
-  registry_.RemoveFragment(*owner);
-  return owner;
+  return directory_.InvalidateKey(key, /*pin_key=*/true);
 }
 
-size_t BackEndMonitor::InvalidateAll() {
-  size_t count = directory_.InvalidateAll();
-  // Dependencies die with their fragments.
-  registry_.Clear();
-  return count;
-}
+size_t BackEndMonitor::InvalidateAll() { return directory_.InvalidateAll(); }
 
 size_t BackEndMonitor::SweepExpired() { return directory_.SweepExpired(); }
 
@@ -99,17 +80,6 @@ DirectoryStats BackEndMonitor::stats() const { return directory_.stats(); }
 std::vector<CacheDirectory::EntryView> BackEndMonitor::SnapshotEntries(
     size_t limit) const {
   return directory_.SnapshotEntries(limit);
-}
-
-BackEndMonitor::ConcurrencyStats BackEndMonitor::concurrency_stats() const {
-  CacheDirectory::ConcurrencyStats dir = directory_.concurrency_stats();
-  ConcurrencyStats stats;
-  stats.stripe_contentions = dir.stripe_contentions;
-  stats.policy_contentions = dir.policy_contentions;
-  stats.free_list_contentions = dir.free_list_contentions;
-  stats.registry_contentions = registry_.contentions();
-  stats.insert_races = dir.insert_races;
-  return stats;
 }
 
 void BackEndMonitor::AttachRepository(storage::ContentRepository* repository) {
@@ -130,9 +100,10 @@ void BackEndMonitor::DetachRepository() {
 
 size_t BackEndMonitor::OnDataSourceUpdate(const storage::UpdateEvent& event) {
   size_t count = 0;
-  for (const std::string& canonical : registry_.Affected(event)) {
+  // Affected releases the registry lock before any stripe lock is taken;
+  // invalidating a fragment drops its dependencies under its stripe lock.
+  for (const std::string& canonical : dependencies().Affected(event)) {
     Status status = directory_.InvalidateCanonical(canonical);
-    registry_.RemoveFragment(canonical);
     if (status.ok()) {
       ++count;
       if (FragmentEventObserver* obs = observer(); obs != nullptr) {

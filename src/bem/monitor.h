@@ -7,7 +7,6 @@
 #include <string>
 
 #include "bem/cache_directory.h"
-#include "bem/dependency_registry.h"
 #include "bem/tag_codec.h"
 #include "bem/types.h"
 #include "common/clock.h"
@@ -63,17 +62,21 @@ class FragmentEventObserver {
 // Thread-safe without a monitor-level lock: the origin application server
 // handles one request per thread, block generators run on a pool, and
 // data-source updates arrive on writer threads. The directory is lock-
-// striped internally (CacheDirectory::kStripes ways) and the dependency
-// registry has its own mutex, so parallel block executions of one page
-// proceed without serializing here. See docs/threading-model.md and
+// striped internally (CacheDirectory::kStripes ways) and owns the
+// dependency registry, so parallel block executions of one page proceed
+// without serializing here. See docs/threading-model.md and
 // concurrency_stats() for the contention evidence.
 //
-// Cross-structure ordering note: InsertFragment removes the fragment's old
-// dependencies before inserting; the generator re-declares them after. A
-// data-source update that races with regeneration can therefore miss the
-// in-flight incarnation — the same window the sequential big-lock version
-// had (lookup/insert/add-dependency were always three separate critical
-// sections), and the DPC recovery protocol covers it.
+// Cross-structure ordering note: the directory publishes an entry together
+// with its dependencies and drops them in the same step that invalidates
+// it, under one stripe lock, so a data-source update either sees a
+// fragment's current incarnation or finds it already invalid. One window
+// stays open: a code block reads the data source before InsertFragment
+// publishes its output. An update that lands between that read and the
+// publish finds no valid incarnation to invalidate, and the stale output
+// stays cached until its TTL, eviction or the next update of that row.
+// The DPC's recovery protocol does not cover this: it refetches keys the
+// DPC is missing and cannot see stale content.
 class BackEndMonitor {
  public:
   // Builds a monitor; fails on an unknown replacement policy name.
@@ -84,15 +87,13 @@ class BackEndMonitor {
   // Directory lookup for a tagged code block.
   LookupResult LookupFragment(const FragmentId& id);
 
-  // Miss path: registers the fragment and returns the dpcKey for the SET
-  // instruction. `ttl_micros` < 0 uses the configured default.
+  // Miss path: registers the fragment with the repository tables/rows it
+  // depends on (`deps`; future updates of them invalidate it) and returns
+  // the dpcKey for the SET instruction. `ttl_micros` < 0 uses the
+  // configured default.
   Result<DpcKey> InsertFragment(const FragmentId& id,
-                                MicroTime ttl_micros = -1);
-
-  // Declares that `id` (which must have been inserted) depends on a
-  // repository table/row; future updates invalidate it.
-  void AddDependency(const FragmentId& id, const std::string& table,
-                     const std::string& row_key = "");
+                                MicroTime ttl_micros = -1,
+                                const DependencyList& deps = {});
 
   // --- Invalidation-manager entry points ---
 
@@ -138,19 +139,17 @@ class BackEndMonitor {
   // Snapshot of up to `limit` directory entries (safe under concurrency).
   std::vector<CacheDirectory::EntryView> SnapshotEntries(
       size_t limit = 0) const;
-  // Lock/parallelism counters aggregated from the directory and registry.
-  struct ConcurrencyStats {
-    uint64_t stripe_contentions = 0;
-    uint64_t policy_contentions = 0;
-    uint64_t free_list_contentions = 0;
-    uint64_t registry_contentions = 0;
-    uint64_t insert_races = 0;
-  };
-  ConcurrencyStats concurrency_stats() const;
+  // Lock/parallelism counters of the directory and its registry.
+  using ConcurrencyStats = CacheDirectory::ConcurrencyStats;
+  ConcurrencyStats concurrency_stats() const {
+    return directory_.concurrency_stats();
+  }
   // Direct views for tests/benches. Both structures are internally
   // synchronized; multi-step read sequences still race with writers.
   const CacheDirectory& directory() const { return directory_; }
-  const DependencyRegistry& dependencies() const { return registry_; }
+  const DependencyRegistry& dependencies() const {
+    return directory_.dependencies();
+  }
   DpcKey capacity() const { return directory_.capacity(); }
   MicroTime default_ttl_micros() const { return default_ttl_micros_; }
 
@@ -167,8 +166,7 @@ class BackEndMonitor {
     return observer_.load(std::memory_order_acquire);
   }
 
-  CacheDirectory directory_;    // Internally striped.
-  DependencyRegistry registry_; // Internally synchronized.
+  CacheDirectory directory_;  // Internally striped; owns the dependencies.
   std::atomic<FragmentEventObserver*> observer_{nullptr};
   MicroTime default_ttl_micros_;
   // Guards only the repository attachment state below.

@@ -160,10 +160,8 @@ TEST(BemConcurrencyTest, MonitorHammerWithDataSourceInvalidations) {
         FragmentId id = Frag("m" + std::to_string((t + i) % 32));
         LookupResult lookup = monitor->LookupFragment(id);
         if (!lookup.hit()) {
-          Result<DpcKey> key = monitor->InsertFragment(id, 0);
-          if (key.ok()) {
-            monitor->AddDependency(id, "t", "row" + std::to_string(i % 8));
-          }
+          (void)monitor->InsertFragment(
+              id, 0, {{"t", "row" + std::to_string(i % 8)}});
         }
         if (i % 97 == 0) {
           monitor->SweepExpired();
@@ -179,6 +177,52 @@ TEST(BemConcurrencyTest, MonitorHammerWithDataSourceInvalidations) {
   mutator.join();
   monitor->DetachRepository();
   CheckKeyInvariants(monitor->directory(), 24);
+  // Every fragment declares a dependency, so the registry holds exactly
+  // the valid entries.
+  EXPECT_EQ(monitor->dependencies().fragment_count(),
+            monitor->directory().valid_count());
+}
+
+// A data-source update invalidates X and must drop X's dependencies in the
+// same critical section. Dropping them after the stripe lock is released
+// lets a concurrent re-render publish X with fresh dependencies first,
+// and the late drop then erases them: X stays valid, but no later update
+// of its row can reach it, so the DPC serves it stale until eviction.
+TEST(BemConcurrencyTest, DataSourceUpdateNeverStripsAFreshIncarnation) {
+  constexpr int kRounds = 20;
+  constexpr int kUpdates = 500;
+  constexpr int kRenderers = 3;
+  const FragmentId x = Frag("x");
+  const storage::UpdateEvent update{"t", "row",
+                                    storage::UpdateKind::kUpdate};
+  int stripped = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    SimClock clock;
+    BemOptions options;
+    options.capacity = 8;
+    options.clock = &clock;
+    auto monitor = *BackEndMonitor::Create(options);
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> renderers;
+    for (int t = 0; t < kRenderers; ++t) {
+      renderers.emplace_back([&] {
+        while (!stop.load()) {
+          if (!monitor->LookupFragment(x).hit()) {
+            (void)monitor->InsertFragment(x, 0, {{"t", "row"}});
+          }
+        }
+      });
+    }
+    for (int i = 0; i < kUpdates; ++i) monitor->OnDataSourceUpdate(update);
+    stop.store(true);
+    for (std::thread& t : renderers) t.join();
+
+    if (!monitor->directory().KeyOf(x).ok()) continue;  // X left invalid.
+    std::vector<std::string> affected =
+        monitor->dependencies().Affected(update);
+    if (affected != std::vector<std::string>{x.Canonical()}) ++stripped;
+  }
+  EXPECT_EQ(stripped, 0) << "rounds that left a valid X no update can reach";
 }
 
 }  // namespace

@@ -15,6 +15,13 @@ BemOptions Options(const Clock* clock, DpcKey capacity = 16) {
   return options;
 }
 
+// A valid entry has its dependencies registered and an invalid one has
+// none; every fragment in these tests declares at least one dependency.
+void ExpectDepsMatchValidEntries(const BackEndMonitor& monitor) {
+  EXPECT_EQ(monitor.dependencies().fragment_count(),
+            monitor.directory().valid_count());
+}
+
 TEST(MonitorTest, CreateRejectsBadConfig) {
   BemOptions zero;
   zero.capacity = 0;
@@ -66,14 +73,14 @@ TEST(MonitorTest, DataSourceUpdateInvalidatesDependents) {
   monitor->AttachRepository(&repository);
 
   FragmentId id("reco", {{"user", "bob"}});
-  ASSERT_TRUE(monitor->InsertFragment(id).ok());
-  monitor->AddDependency(id, "products", "p1");
+  ASSERT_TRUE(monitor->InsertFragment(id, -1, {{"products", "p1"}}).ok());
   ASSERT_TRUE(monitor->LookupFragment(id).hit());
 
   // Mutating the row the fragment depends on invalidates it.
   products->Upsert("p1", {{"title", storage::Value(std::string("new"))}});
   EXPECT_EQ(monitor->LookupFragment(id).outcome,
             LookupOutcome::kMissInvalid);
+  ExpectDepsMatchValidEntries(*monitor);
 }
 
 TEST(MonitorTest, UnrelatedUpdateDoesNotInvalidate) {
@@ -84,10 +91,10 @@ TEST(MonitorTest, UnrelatedUpdateDoesNotInvalidate) {
   monitor->AttachRepository(&repository);
 
   FragmentId id("reco");
-  ASSERT_TRUE(monitor->InsertFragment(id).ok());
-  monitor->AddDependency(id, "products", "p1");
+  ASSERT_TRUE(monitor->InsertFragment(id, -1, {{"products", "p1"}}).ok());
   products->Upsert("p2", {});
   EXPECT_TRUE(monitor->LookupFragment(id).hit());
+  ExpectDepsMatchValidEntries(*monitor);
 }
 
 TEST(MonitorTest, TableLevelDependency) {
@@ -98,8 +105,7 @@ TEST(MonitorTest, TableLevelDependency) {
   monitor->AttachRepository(&repository);
 
   FragmentId id("headlines");
-  ASSERT_TRUE(monitor->InsertFragment(id).ok());
-  monitor->AddDependency(id, "headlines");  // Any row.
+  ASSERT_TRUE(monitor->InsertFragment(id, -1, {{"headlines", ""}}).ok());
   headlines->Upsert("h99", {});
   EXPECT_FALSE(monitor->LookupFragment(id).hit());
 }
@@ -111,8 +117,7 @@ TEST(MonitorTest, DetachStopsInvalidation) {
   auto monitor = *BackEndMonitor::Create(Options(&clock));
   monitor->AttachRepository(&repository);
   FragmentId id("f");
-  ASSERT_TRUE(monitor->InsertFragment(id).ok());
-  monitor->AddDependency(id, "t");
+  ASSERT_TRUE(monitor->InsertFragment(id, -1, {{"t", ""}}).ok());
   monitor->DetachRepository();
   t->Upsert("row", {});
   EXPECT_TRUE(monitor->LookupFragment(id).hit());
@@ -126,11 +131,9 @@ TEST(MonitorTest, ReinsertSupersedesOldDependencies) {
   monitor->AttachRepository(&repository);
 
   FragmentId id("f");
-  ASSERT_TRUE(monitor->InsertFragment(id).ok());
-  monitor->AddDependency(id, "t", "old-row");
+  ASSERT_TRUE(monitor->InsertFragment(id, -1, {{"t", "old-row"}}).ok());
   // Regenerate with a different dependency set.
-  ASSERT_TRUE(monitor->InsertFragment(id).ok());
-  monitor->AddDependency(id, "t", "new-row");
+  ASSERT_TRUE(monitor->InsertFragment(id, -1, {{"t", "new-row"}}).ok());
 
   t->Upsert("old-row", {});  // Stale dependency must not fire.
   EXPECT_TRUE(monitor->LookupFragment(id).hit());
@@ -146,26 +149,30 @@ TEST(MonitorTest, InvalidateKeyRemovesDependencies) {
   monitor->AttachRepository(&repository);
 
   FragmentId id("f");
-  DpcKey key = *monitor->InsertFragment(id);
-  monitor->AddDependency(id, "t");
+  DpcKey key = *monitor->InsertFragment(id, -1, {{"t", ""}});
+  ASSERT_TRUE(monitor->InsertFragment(FragmentId("g"), -1, {{"t", ""}}).ok());
   ASSERT_TRUE(monitor->InvalidateKey(key).ok());
   EXPECT_FALSE(monitor->LookupFragment(id).hit());
-  EXPECT_EQ(monitor->dependencies().fragment_count(), 0u);
+  EXPECT_EQ(monitor->dependencies().fragment_count(), 1u);
+  ExpectDepsMatchValidEntries(*monitor);
   // Re-running the update is harmless.
   t->Upsert("x", {});
+  ExpectDepsMatchValidEntries(*monitor);
 }
 
 TEST(MonitorTest, RefreshKeyKeepsTheKeyStable) {
   SimClock clock;
   auto monitor = *BackEndMonitor::Create(Options(&clock));
   FragmentId a("a"), b("b");
-  ASSERT_TRUE(monitor->InsertFragment(a).ok());
-  DpcKey key = *monitor->InsertFragment(b);
+  ASSERT_TRUE(monitor->InsertFragment(a, -1, {{"t", "a"}}).ok());
+  DpcKey key = *monitor->InsertFragment(b, -1, {{"t", "b"}});
   ASSERT_TRUE(monitor->RefreshKey(key).ok());
   EXPECT_FALSE(monitor->LookupFragment(b).hit());
+  ExpectDepsMatchValidEntries(*monitor);
   // The refresh re-render re-caches the fragment under the SAME key — the
   // DPC's in-flight `GET key` stays resolvable.
-  EXPECT_EQ(*monitor->InsertFragment(b), key);
+  EXPECT_EQ(*monitor->InsertFragment(b, -1, {{"t", "b"}}), key);
+  ExpectDepsMatchValidEntries(*monitor);
 }
 
 TEST(MonitorTest, InvalidateAllClearsDirectoryAndDeps) {
@@ -173,8 +180,7 @@ TEST(MonitorTest, InvalidateAllClearsDirectoryAndDeps) {
   auto monitor = *BackEndMonitor::Create(Options(&clock));
   for (int i = 0; i < 5; ++i) {
     FragmentId id("f" + std::to_string(i));
-    ASSERT_TRUE(monitor->InsertFragment(id).ok());
-    monitor->AddDependency(id, "t");
+    ASSERT_TRUE(monitor->InsertFragment(id, -1, {{"t", ""}}).ok());
   }
   EXPECT_EQ(monitor->InvalidateAll(), 5u);
   EXPECT_EQ(monitor->directory().valid_count(), 0u);
@@ -210,6 +216,73 @@ TEST(MonitorTest, SweepExpiredCountsOnlyExpired) {
   ASSERT_TRUE(monitor->InsertFragment(FragmentId("b"), 0).ok());
   clock.AdvanceSeconds(2);
   EXPECT_EQ(monitor->SweepExpired(), 1u);
+}
+
+// Churn: every version bump mints a new fragment id, so the directory
+// turns over by eviction. The dependencies must turn over with it.
+TEST(MonitorTest, DependenciesAreBoundedByCapacity) {
+  SimClock clock;
+  auto monitor = *BackEndMonitor::Create(Options(&clock, 16));
+  for (int i = 0; i < 160; ++i) {
+    ASSERT_TRUE(monitor
+                    ->InsertFragment(FragmentId("f" + std::to_string(i)), -1,
+                                     {{"t", "row" + std::to_string(i)}})
+                    .ok());
+  }
+  EXPECT_LE(monitor->dependencies().fragment_count(), 16u);
+  ExpectDepsMatchValidEntries(*monitor);
+  // Only the surviving fragments still react to updates.
+  EXPECT_TRUE(monitor->dependencies()
+                  .Affected({"t", "row0", storage::UpdateKind::kUpdate})
+                  .empty());
+  EXPECT_EQ(monitor->dependencies()
+                .Affected({"t", "row159", storage::UpdateKind::kUpdate})
+                .size(),
+            1u);
+}
+
+TEST(MonitorTest, EvictionDropsDependencies) {
+  SimClock clock;
+  auto monitor = *BackEndMonitor::Create(Options(&clock, 2));
+  ASSERT_TRUE(monitor->InsertFragment(FragmentId("a"), -1, {{"t", "a"}}).ok());
+  ASSERT_TRUE(monitor->InsertFragment(FragmentId("b"), -1, {{"t", "b"}}).ok());
+  ASSERT_TRUE(monitor->InsertFragment(FragmentId("c"), -1, {{"t", "c"}}).ok());
+  EXPECT_EQ(monitor->stats().evictions, 1u);
+  ExpectDepsMatchValidEntries(*monitor);
+  EXPECT_TRUE(monitor->dependencies()
+                  .Affected({"t", "a", storage::UpdateKind::kUpdate})
+                  .empty());
+}
+
+TEST(MonitorTest, LazyTtlExpiryDropsDependencies) {
+  SimClock clock;
+  auto monitor = *BackEndMonitor::Create(Options(&clock));
+  ASSERT_TRUE(monitor
+                  ->InsertFragment(FragmentId("a"), kMicrosPerSecond,
+                                   {{"t", "a"}})
+                  .ok());
+  ASSERT_TRUE(monitor->InsertFragment(FragmentId("b"), 0, {{"t", "b"}}).ok());
+  clock.AdvanceSeconds(2);
+  EXPECT_EQ(monitor->LookupFragment(FragmentId("a")).outcome,
+            LookupOutcome::kMissExpired);
+  EXPECT_EQ(monitor->dependencies().fragment_count(), 1u);
+  ExpectDepsMatchValidEntries(*monitor);
+}
+
+TEST(MonitorTest, SweepExpiredDropsDependencies) {
+  SimClock clock;
+  auto monitor = *BackEndMonitor::Create(Options(&clock));
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(monitor
+                    ->InsertFragment(FragmentId("f" + std::to_string(i)),
+                                     i % 2 == 0 ? kMicrosPerSecond : 0,
+                                     {{"t", ""}})
+                    .ok());
+  }
+  clock.AdvanceSeconds(2);
+  EXPECT_EQ(monitor->SweepExpired(), 2u);
+  EXPECT_EQ(monitor->dependencies().fragment_count(), 2u);
+  ExpectDepsMatchValidEntries(*monitor);
 }
 
 }  // namespace

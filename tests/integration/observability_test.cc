@@ -196,7 +196,9 @@ TEST_F(ObservabilityTest, OriginMetricsEndpointExposesBemStageHistograms) {
         "dynaprox_origin_fragment_hits_total",
         "dynaprox_origin_fragment_misses_total",
         "dynaprox_bem_directory_hits_total",
-        "dynaprox_bem_directory_capacity"}) {
+        "dynaprox_bem_directory_capacity",
+        "dynaprox_bem_directory_valid_entries",
+        "dynaprox_bem_dependency_fragments"}) {
     EXPECT_NE(metrics.body.find(name), std::string::npos)
         << "missing metric " << name;
   }
