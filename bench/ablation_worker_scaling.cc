@@ -35,9 +35,9 @@
 #include "bem/monitor.h"
 #include "bench_util.h"
 #include "common/metrics.h"
+#include "net/connection_pool.h"
 #include "net/epoll_server.h"
 #include "net/server_limits.h"
-#include "net/tcp.h"
 #include "storage/table.h"
 
 using namespace dynaprox;
@@ -108,7 +108,7 @@ SweepResult RunConfig(int workers) {
   for (int t = 0; t < kClientThreads; ++t) {
     clients.emplace_back([&, t] {
       for (int c = 0; c < kConnsPerThread; ++c) {
-        net::TcpClientTransport client("127.0.0.1", server.port());
+        net::PooledClientTransport client("127.0.0.1", server.port());
         for (int r = 0; r < kRequestsPerConn; ++r) {
           http::Request request;
           request.target =
@@ -198,7 +198,7 @@ void RunContentionSection() {
     std::vector<std::thread> clients;
     for (int c = 0; c < kLoadClients; ++c) {
       clients.emplace_back([&, c] {
-        net::TcpClientTransport client("127.0.0.1", server.port());
+        net::PooledClientTransport client("127.0.0.1", server.port());
         for (int i = 0; i < kLoadRequestsPerClient; ++i) {
           http::Request request;
           request.target =

@@ -168,7 +168,7 @@ void PrintTtfbSweep() {
     dynaprox::dpc::DpcProxy proxy(&upstream, options);
     dynaprox::net::TcpServer front(proxy.AsHandler());
     if (!front.Start().ok()) abort();
-    dynaprox::net::TcpClientTransport client("127.0.0.1", front.port());
+    dynaprox::net::PooledClientTransport client("127.0.0.1", front.port());
     dynaprox::http::Request request;
     request.target = "/ttfb";
     constexpr int kRounds = 5;

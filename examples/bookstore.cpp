@@ -166,7 +166,7 @@ int main() {
   std::printf("origin on 127.0.0.1:%u, DPC reverse proxy on 127.0.0.1:%u\n",
               origin_server.port(), proxy_server.port());
 
-  net::TcpClientTransport client("127.0.0.1", proxy_server.port());
+  net::PooledClientTransport client("127.0.0.1", proxy_server.port());
   std::string bob_sid = sessions.Login("bob");
 
   auto fetch = [&](const std::string& label, const std::string& cookie) {

@@ -3,9 +3,10 @@
 #
 #   1. plain build + the full ctest suite (includes the docs-link check
 #      and the gcc fuzz-smoke corpus tests)
-#   2. AddressSanitizer+UBSan over the memory-sensitive suites
-#   3. ThreadSanitizer over the threaded server/integration suites
-#   4. a fixed-seed chaos smoke: dynaprox_chaos under ASan, invariants
+#   2. the perfbench binary compiles (Release; not run)
+#   3. AddressSanitizer+UBSan over the memory-sensitive suites
+#   4. ThreadSanitizer over the threaded server/integration suites
+#   5. a fixed-seed chaos smoke: dynaprox_chaos under ASan, invariants
 #      must hold (docs/failure-modes.md, "Chaos layer")
 #
 # Sanitizer passes run on suite subsets so the script stays usable on
@@ -18,6 +19,15 @@ echo "== tier1: build + full test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
+
+# perfbench is a CMake project of its own (perfbench/README.md) that only
+# perfbench/run.py builds, yet it compiles against the net/ and dpc/ APIs:
+# it overrides both Transport virtuals and wires PooledClientTransport,
+# EpollServer and ProxyOptions. Building it here keeps an API change from
+# breaking the benchmark unnoticed. Running it is left to run.py.
+echo "== tier1: perfbench build (Release, not run) =="
+cmake -B build-perfbench -S perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-perfbench -j"$JOBS" --target perfbench
 
 # The streaming suites (dpc/streaming_scanner_test, http/streaming_reader
 # _test, net/streaming_test, dpc/proxy_streaming_test, and the chunking

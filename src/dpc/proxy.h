@@ -59,14 +59,13 @@ struct ProxyOptions {
   // aborted (truncated chunked body) instead of sending a
   // complete-looking page.
   //
-  // The upstream must be pooled or direct (net::PooledClientTransport,
-  // net::DirectTransport). A body still in flight holds its upstream
-  // connection until the rest of it has been read into memory: before a
-  // cold-cache X-DPC-Refresh goes out, or at the committed stream's first
-  // pull after the bytes sent at commit — so neither a nested round trip
-  // nor a slow client waits on it. A bare net::TcpClientTransport has one
-  // connection, which would serialize every other request behind that
-  // window (see net/tcp.h).
+  // The upstream is net::PooledClientTransport over TCP or
+  // net::DirectTransport in process. A body still in flight holds its
+  // upstream connection until the rest of it has been read into memory:
+  // before a cold-cache X-DPC-Refresh goes out, or at the committed
+  // stream's first pull after the bytes sent at commit — so neither a
+  // nested round trip nor a slow client waits on it, even in a pool of
+  // one.
 
   // Also cache untagged (static) responses per their Cache-Control, the
   // way ISA Server's ordinary proxy cache did in the paper's testbed.

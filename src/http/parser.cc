@@ -104,12 +104,6 @@ Result<bool> TryDecodeChunked(std::string_view wire, size_t offset,
   }
 }
 
-// Normalizes a dechunked message: body length becomes explicit.
-void Dechunk(HeaderMap& headers, size_t body_size) {
-  headers.Remove("Transfer-Encoding");
-  headers.Set("Content-Length", std::to_string(body_size));
-}
-
 // Parses the head (start line + headers) of a request.
 Status ParseRequestHead(std::string_view head, Request& request) {
   size_t eol = head.find("\r\n");
@@ -202,6 +196,12 @@ Result<Message> ParseComplete(std::string_view wire, HeadParser parse_head) {
 }
 
 }  // namespace
+
+void Dechunk(HeaderMap& headers, size_t body_size) {
+  if (!IsChunked(headers)) return;
+  headers.Remove("Transfer-Encoding");
+  headers.Set("Content-Length", std::to_string(body_size));
+}
 
 Result<Request> ParseRequest(std::string_view wire) {
   return ParseComplete<Request>(wire, ParseRequestHead);

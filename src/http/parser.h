@@ -19,6 +19,12 @@ namespace dynaprox::http {
 Result<Request> ParseRequest(std::string_view wire);
 Result<Response> ParseResponse(std::string_view wire);
 
+// Frames a message whose chunked body has been joined into one payload of
+// `body_size` bytes: Transfer-Encoding dropped, Content-Length set. Headers
+// that do not declare a chunked body are left as they are. The parsers
+// above apply it, and so does net::DrainWhole to a streamed body.
+void Dechunk(HeaderMap& headers, size_t body_size);
+
 // Serializes `response` with chunked transfer encoding, splitting the body
 // into chunks of at most `chunk_size` bytes. (Requests stay
 // Content-Length-framed; chunking is a response-streaming feature.)

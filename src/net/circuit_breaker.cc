@@ -20,6 +20,11 @@ std::string_view BreakerStateName(BreakerState state) {
 
 namespace {
 
+Status Rejection() {
+  return Status::FailedPrecondition(std::string(kBreakerOpenMessage) +
+                                    ": upstream unavailable");
+}
+
 CircuitBreakerOptions Sanitize(CircuitBreakerOptions options) {
   options.window = std::max(options.window, 1);
   options.min_samples = std::clamp(options.min_samples, 1, options.window);
@@ -162,15 +167,22 @@ CircuitBreakerTransport::CircuitBreakerTransport(
 
 Result<http::Response> CircuitBreakerTransport::RoundTrip(
     const http::Request& request) {
-  if (!breaker_.Allow()) {
-    return Status::FailedPrecondition(
-        std::string(kBreakerOpenMessage) + ": upstream unavailable");
-  }
+  if (!breaker_.Allow()) return Rejection();
   Result<http::Response> response = inner_->RoundTrip(request);
-  bool success = response.ok() && (!options_.count_http_5xx ||
-                                   response->status_code < 500);
-  breaker_.Record(success);
+  breaker_.Record(response.ok() && Healthy(response->status_code));
   return response;
+}
+
+Result<StreamingResponse> CircuitBreakerTransport::RoundTripStreaming(
+    const http::Request& request) {
+  if (!breaker_.Allow()) return Rejection();
+  Result<StreamingResponse> response = inner_->RoundTripStreaming(request);
+  breaker_.Record(response.ok() && Healthy(response->head.status_code));
+  return response;
+}
+
+bool CircuitBreakerTransport::Healthy(int status_code) const {
+  return !options_.count_http_5xx || status_code < 500;
 }
 
 }  // namespace dynaprox::net

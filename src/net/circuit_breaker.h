@@ -131,10 +131,20 @@ class CircuitBreakerTransport : public Transport {
 
   Result<http::Response> RoundTrip(const http::Request& request) override;
 
+  // Forwards to the inner transport's streaming path, so the body still
+  // streams. The outcome is recorded at the head: a failed round trip, or
+  // a 5xx head under count_http_5xx, is a failure; a later mid-body error
+  // is not counted.
+  Result<StreamingResponse> RoundTripStreaming(
+      const http::Request& request) override;
+
   CircuitBreaker& breaker() { return breaker_; }
   const CircuitBreaker& breaker() const { return breaker_; }
 
  private:
+  // Whether an answer with `status_code` counts as a success.
+  bool Healthy(int status_code) const;
+
   Transport* inner_;
   CircuitBreakerTransportOptions options_;
   CircuitBreaker breaker_;

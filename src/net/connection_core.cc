@@ -25,6 +25,15 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 // Non-blocking mode only — a blocking shell flushes fully between pulls.
 constexpr size_t kStreamHighWater = 256 * 1024;
 
+// True if the process can open one more descriptor: `fd` dups into a
+// free slot, and the dup is closed again at once.
+bool HasSpareDescriptor(int fd) {
+  int probe = ::dup(fd);
+  if (probe < 0) return false;
+  ::close(probe);
+  return true;
+}
+
 }  // namespace
 
 ConnectionCore::ConnectionCore(Mode mode, const Env& env)
@@ -235,8 +244,9 @@ AcceptGate::FailureAction AcceptGate::OnAcceptFailure(int err) {
     case ENFILE:
       // Fd exhaustion is an episode, not a fatal listener error: keep
       // the accept path alive, log/count once per *episode* — the latch
-      // re-arms on the next successful accept, so a later outage is
-      // reported again rather than silenced for the server's life.
+      // re-arms once an accept succeeds with a descriptor to spare (see
+      // Admit), so a later outage is reported again rather than silenced
+      // for the server's life.
       if (!env_.fd_exhausted->exchange(true)) {
         env_.counters->accept_fd_exhaustion_episodes.fetch_add(1, kRelaxed);
         DYNAPROX_LOG(kError, env_.log_tag)
@@ -250,10 +260,14 @@ AcceptGate::FailureAction AcceptGate::OnAcceptFailure(int err) {
 }
 
 bool AcceptGate::Admit(int fd, IngressCounters* worker) {
-  // Accept works again: re-arm per-episode exhaustion reporting. The
-  // load screens out the common case so the hot path stays write-free;
-  // the exchange makes sure only one accepting thread logs the recovery.
-  if (env_.fd_exhausted->load(kRelaxed) &&
+  // Accept works again: re-arm per-episode exhaustion reporting, but only
+  // once a spare descriptor exists. The accept that ends an outage may
+  // take the last free slot, and the accept after it then fails with
+  // EMFILE even on an empty backlog — re-arming here would count that as
+  // a second episode. A one-dup probe tells the two apart. The load
+  // screens out the common case so the hot path stays write-free; the
+  // exchange makes sure only one accepting thread logs the recovery.
+  if (env_.fd_exhausted->load(kRelaxed) && HasSpareDescriptor(fd) &&
       env_.fd_exhausted->exchange(false)) {
     DYNAPROX_LOG(kInfo, env_.log_tag) << "accept: fd exhaustion cleared";
   }

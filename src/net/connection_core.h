@@ -182,7 +182,8 @@ class AcceptGate {
     // cap.
     std::atomic<int64_t>* live = nullptr;
     // EMFILE/ENFILE episode latch: set once per sustained outage,
-    // re-armed by the next successful accept.
+    // re-armed by the next successful accept that leaves a descriptor
+    // to spare.
     std::atomic<bool>* fd_exhausted = nullptr;
     const char* log_tag = "net";
   };

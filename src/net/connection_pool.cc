@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <string_view>
 #include <thread>
 
 #include "common/fault_point.h"
@@ -24,6 +25,26 @@ bool IsConnectionLive(int fd) {
   ssize_t n = ::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
   if (n >= 0) return false;  // 0: EOF. >0: stray bytes from the server.
   return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
+}
+
+// One receive from `fd` into `reader`, behind the net.read fault point:
+// the read step of both the head read and the body stream. Returns the
+// byte count, 0 at end of stream.
+Result<size_t> Receive(int fd, http::StreamingResponseReader& reader) {
+  DYNAPROX_RETURN_IF_ERROR(
+      chaos::InjectStatus(DYNAPROX_FAULT_POINT("net.read")));
+  char buf[16 * 1024];
+  ssize_t n;
+  do {
+    n = ::recv(fd, buf, sizeof(buf), 0);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+    // SO_RCVTIMEO elapsed: fail fast, don't retry into another stall.
+    return Status::IoError("receive timeout");
+  }
+  if (n < 0) return ErrnoStatus("recv");
+  reader.Feed(std::string_view(buf, static_cast<size_t>(n)));
+  return static_cast<size_t>(n);
 }
 
 }  // namespace
@@ -192,71 +213,9 @@ PooledClientTransport::PooledClientTransport(std::string host, uint16_t port,
 
 Result<http::Response> PooledClientTransport::RoundTrip(
     const http::Request& request) {
-  const std::string wire = request.Serialize();
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    Result<ConnectionPool::Connection> conn = pool_.Checkout();
-    if (!conn.ok()) return conn.status();
-
-    size_t sent = 0;
-    Status write_status =
-        chaos::InjectStatus(DYNAPROX_FAULT_POINT("net.write"));
-    if (write_status.ok()) write_status = SendAll(conn->fd, wire, &sent);
-    if (!write_status.ok()) {
-      pool_.Checkin(*conn, /*reusable=*/false);
-      if (!conn->fresh && attempt == 0 &&
-          SafeToRetry(request, sent, options_.non_idempotent_headers)) {
-        continue;  // Stale keep-alive connection: one fresh retry.
-      }
-      return write_status;
-    }
-
-    http::ResponseReader reader;
-    char buf[16 * 1024];
-    for (;;) {
-      if (auto next = reader.Next()) {
-        if (!next->ok()) {
-          pool_.Checkin(*conn, /*reusable=*/false);
-          return next->status();
-        }
-        bool server_closes = false;
-        if (auto connection = next->value().headers.Get("Connection");
-            connection.has_value() &&
-            EqualsIgnoreCase(*connection, "close")) {
-          server_closes = true;
-        }
-        pool_.Checkin(*conn, /*reusable=*/!server_closes);
-        return std::move(*next);
-      }
-      if (Status injected =
-              chaos::InjectStatus(DYNAPROX_FAULT_POINT("net.read"));
-          !injected.ok()) {
-        pool_.Checkin(*conn, /*reusable=*/false);
-        return injected;
-      }
-      ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        // SO_RCVTIMEO elapsed: fail fast, don't retry into another stall.
-        pool_.Checkin(*conn, /*reusable=*/false);
-        return Status::IoError("receive timeout");
-      }
-      if (n < 0) {
-        pool_.Checkin(*conn, /*reusable=*/false);
-        return ErrnoStatus("recv");
-      }
-      if (n == 0) {
-        pool_.Checkin(*conn, /*reusable=*/false);
-        if (reader.buffered_bytes() == 0 && !conn->fresh && attempt == 0 &&
-            SafeToRetry(request, wire.size(),
-                        options_.non_idempotent_headers)) {
-          break;  // Keep-alive closed before the response: retry once.
-        }
-        return Status::IoError("connection closed mid-response");
-      }
-      reader.Feed(std::string_view(buf, static_cast<size_t>(n)));
-    }
-  }
-  return Status::IoError("could not complete round trip");
+  Result<StreamingResponse> streaming = RoundTripStreaming(request);
+  if (!streaming.ok()) return streaming.status();
+  return DrainWhole(std::move(*streaming));
 }
 
 // Body stream over one checked-out pooled connection. Draining to
@@ -278,7 +237,6 @@ class PooledClientTransport::StreamingBody : public http::BodyStream {
 
   Result<common::BufferChain> Next() override {
     if (finished_) return common::BufferChain();
-    char buf[16 * 1024];
     for (;;) {
       std::string bytes = reader_.TakeBody();
       if (!bytes.empty()) {
@@ -291,21 +249,11 @@ class PooledClientTransport::StreamingBody : public http::BodyStream {
         Finish();
         return common::BufferChain();
       }
-      if (Status injected =
-              chaos::InjectStatus(DYNAPROX_FAULT_POINT("net.read"));
-          !injected.ok()) {
-        return Abort(injected);
-      }
-      ssize_t n = ::recv(conn_.fd, buf, sizeof(buf), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        return Abort(Status::IoError("receive timeout"));
-      }
-      if (n < 0) return Abort(ErrnoStatus("recv"));
-      if (n == 0) {
+      Result<size_t> received = Receive(conn_.fd, reader_);
+      if (!received.ok()) return Abort(received.status());
+      if (*received == 0) {
         return Abort(Status::IoError("connection closed mid-response"));
       }
-      reader_.Feed(std::string_view(buf, static_cast<size_t>(n)));
       if (reader_.failed()) return Abort(reader_.status());
     }
   }
@@ -335,6 +283,10 @@ Result<StreamingResponse> PooledClientTransport::RoundTripStreaming(
   for (int attempt = 0; attempt < 2; ++attempt) {
     Result<ConnectionPool::Connection> conn = pool_.Checkout();
     if (!conn.ok()) return conn.status();
+    // Only a reused keep-alive connection failing before the response
+    // starts is evidence of staleness; a fresh one failing is a hard
+    // error.
+    const bool stale_retry = !conn->fresh && attempt == 0;
 
     size_t sent = 0;
     Status write_status =
@@ -342,7 +294,7 @@ Result<StreamingResponse> PooledClientTransport::RoundTripStreaming(
     if (write_status.ok()) write_status = SendAll(conn->fd, wire, &sent);
     if (!write_status.ok()) {
       pool_.Checkin(*conn, /*reusable=*/false);
-      if (!conn->fresh && attempt == 0 &&
+      if (stale_retry &&
           SafeToRetry(request, sent, options_.non_idempotent_headers)) {
         continue;  // Stale keep-alive connection: one fresh retry.
       }
@@ -350,9 +302,7 @@ Result<StreamingResponse> PooledClientTransport::RoundTripStreaming(
     }
 
     http::StreamingResponseReader reader;
-    char buf[16 * 1024];
-    bool retry = false;
-    while (!retry) {
+    for (;;) {
       if (auto head = reader.NextHead()) {
         if (!head->ok()) {
           pool_.Checkin(*conn, /*reusable=*/false);
@@ -370,33 +320,16 @@ Result<StreamingResponse> PooledClientTransport::RoundTripStreaming(
             &pool_, *conn, std::move(reader), reusable);
         return streaming;
       }
-      if (Status injected =
-              chaos::InjectStatus(DYNAPROX_FAULT_POINT("net.read"));
-          !injected.ok()) {
-        pool_.Checkin(*conn, /*reusable=*/false);
-        return injected;
-      }
-      ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        pool_.Checkin(*conn, /*reusable=*/false);
-        return Status::IoError("receive timeout");
-      }
-      if (n < 0) {
-        pool_.Checkin(*conn, /*reusable=*/false);
-        return ErrnoStatus("recv");
-      }
-      if (n == 0) {
-        pool_.Checkin(*conn, /*reusable=*/false);
-        if (reader.buffered_bytes() == 0 && !conn->fresh && attempt == 0 &&
-            SafeToRetry(request, wire.size(),
-                        options_.non_idempotent_headers)) {
-          retry = true;  // Keep-alive closed before the head: retry once.
-          break;
-        }
+      Result<size_t> received = Receive(conn->fd, reader);
+      if (received.ok() && *received > 0) continue;
+      pool_.Checkin(*conn, /*reusable=*/false);
+      if (!received.ok()) return received.status();
+      if (reader.buffered_bytes() != 0 || !stale_retry ||
+          !SafeToRetry(request, wire.size(),
+                       options_.non_idempotent_headers)) {
         return Status::IoError("connection closed mid-response");
       }
-      reader.Feed(std::string_view(buf, static_cast<size_t>(n)));
+      break;  // Keep-alive closed before the head: retry once.
     }
   }
   return Status::IoError("could not complete round trip");

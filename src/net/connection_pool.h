@@ -127,16 +127,24 @@ struct PooledTransportOptions {
   std::vector<std::string> non_idempotent_headers;
 };
 
-// Transport running each round trip on a pooled connection: concurrent
-// RoundTrip calls proceed in parallel up to the pool bound instead of
-// serializing on one socket the way TcpClientTransport does. A failed
-// round trip on a reused keep-alive connection is retried once on a fresh
-// connection when SafeToRetry allows it.
+// The HTTP client: each round trip runs on a pooled keep-alive
+// connection, so concurrent round trips proceed in parallel up to the pool
+// bound (max_connections = 1 serializes them on one socket).
+//
+// RoundTripStreaming is the one send/retry/head-read loop; RoundTrip pulls
+// its body to the end (DrainWhole). One reuse rule therefore holds on
+// both: a connection goes back to the pool only after a whole response
+// that neither announced "Connection: close" nor arrived with bytes past
+// its end, and an idle connection that shows EOF or unsolicited bytes at
+// checkout is replaced. A failure before the response head on a reused
+// keep-alive connection is retried once on a fresh connection when
+// SafeToRetry allows it; a failure on a freshly dialed connection is
+// never retried.
 //
 // RoundTripStreaming keeps its pooled connection checked out until the
-// BodyStream is drained (checked back in reusable) or destroyed early
-// (closed — the framing state is unknown). Other round trips proceed on
-// other pool slots meanwhile, so a streaming consumer may issue nested
+// BodyStream is drained (checked back in per the rule above) or destroyed
+// early (closed — the framing state is unknown). Other round trips proceed
+// on other pool slots meanwhile, so a streaming consumer may issue nested
 // round trips (e.g. DpcProxy miss recovery) on the same transport.
 class PooledClientTransport : public Transport {
  public:

@@ -1,7 +1,6 @@
 // Blocking thread-per-connection shell over net::ConnectionCore. All
 // connection lifecycle policy (limits, deadlines, dispatch, flush,
 // drain) lives in the core; this file only owns sockets and threads.
-// The client transport lives in net/tcp_client.cc.
 #include "net/tcp.h"
 
 #include <poll.h>

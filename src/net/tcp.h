@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,7 +19,8 @@ namespace dynaprox::net {
 
 // Blocking TCP server with one thread per connection and HTTP/1.1
 // keep-alive. Suitable for the examples and integration tests; the
-// deterministic simulation uses DirectTransport instead.
+// deterministic simulation uses DirectTransport instead. Its client half
+// is net::PooledClientTransport (net/connection_pool.h).
 //
 // The connection lifecycle (parsing, limits, dispatch, flush, drain
 // transitions) lives in net::ConnectionCore, shared with EpollServer;
@@ -98,55 +98,6 @@ class TcpServer {
   std::vector<int> active_fds_;  // Guarded by mu_; shut down in Stop().
   // EMFILE/ENFILE episode latch for the shared AcceptGate triage.
   std::atomic<bool> fd_exhausted_{false};
-};
-
-struct TcpClientOptions {
-  // Per-operation send/receive timeout; 0 blocks indefinitely. A timeout
-  // surfaces as IoError and drops the connection (the next round trip
-  // reconnects).
-  MicroTime io_timeout_micros = 0;
-  // Request headers whose presence marks a request non-idempotent for
-  // retry purposes (see net/idempotency.h): once any request bytes may
-  // have reached the server, such a request is never re-sent.
-  std::vector<std::string> non_idempotent_headers;
-};
-
-// Blocking TCP client transport. Opens one keep-alive connection lazily
-// and reconnects if the server closed it. Thread-safe by serializing round
-// trips on the single connection; use one transport per thread (or a
-// pool) when upstream parallelism matters.
-//
-// RoundTripStreaming holds the connection (and the serialization lock)
-// until its BodyStream is drained or destroyed — a concurrent RoundTrip
-// on the same transport blocks for the whole body, and one issued from
-// the thread consuming the stream deadlocks. A streaming consumer that
-// makes nested round trips before draining the body needs
-// PooledClientTransport.
-class TcpClientTransport : public Transport {
- public:
-  TcpClientTransport(std::string host, uint16_t port,
-                     TcpClientOptions options = {});
-  ~TcpClientTransport() override;
-
-  TcpClientTransport(const TcpClientTransport&) = delete;
-  TcpClientTransport& operator=(const TcpClientTransport&) = delete;
-
-  Result<http::Response> RoundTrip(const http::Request& request) override;
-
-  Result<StreamingResponse> RoundTripStreaming(
-      const http::Request& request) override;
-
- private:
-  class StreamingBody;
-
-  Status EnsureConnected();
-  void CloseConnection();
-
-  std::string host_;
-  uint16_t port_;
-  TcpClientOptions options_;
-  std::mutex mu_;
-  int fd_ = -1;  // Guarded by mu_.
 };
 
 }  // namespace dynaprox::net

@@ -6,6 +6,7 @@
 
 #include "common/result.h"
 #include "http/message.h"
+#include "http/parser.h"
 #include "net/byte_meter.h"
 
 namespace dynaprox::net {
@@ -78,6 +79,23 @@ inline StreamingResponse StreamWhole(http::Response response) {
   streaming.head.headers.Set("Content-Length", std::to_string(body.size()));
   streaming.body = std::make_unique<BufferedBodyStream>(std::move(body));
   return streaming;
+}
+
+// The inverse of StreamWhole: pulls the body to its end into `body` and
+// frames the message the way the buffered parser frames a whole wire (a
+// joined chunked body gets Content-Length; see http::Dechunk). A transport
+// whose RoundTrip is its streaming path drained by this returns the same
+// message a buffered read would.
+inline Result<http::Response> DrainWhole(StreamingResponse streaming) {
+  http::Response response = std::move(streaming.head);
+  for (;;) {
+    Result<common::BufferChain> chunk = streaming.body->Next();
+    if (!chunk.ok()) return chunk.status();
+    if (chunk->empty()) break;
+    chunk->AppendTo(response.body);
+  }
+  http::Dechunk(response.headers, response.body.size());
+  return response;
 }
 
 inline Result<StreamingResponse> Transport::RoundTripStreaming(

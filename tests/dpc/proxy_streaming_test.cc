@@ -28,6 +28,7 @@
 #include "bem/tag_codec.h"
 #include "common/strings.h"
 #include "dpc/proxy.h"
+#include "net/circuit_breaker.h"
 #include "net/connection_pool.h"
 #include "net/epoll_server.h"
 #include "net/tcp.h"
@@ -498,7 +499,7 @@ TEST(ProxyStreamingTest, UpstreamTransportFailureYieldsCleanError) {
   ASSERT_TRUE(origin.Start().ok());
   uint16_t dead_port = origin.port();
   origin.Stop();
-  net::TcpClientTransport upstream("127.0.0.1", dead_port);
+  net::PooledClientTransport upstream("127.0.0.1", dead_port);
   DpcProxy proxy(&upstream, SmallProxy());
   http::Request request;
   http::Response response = proxy.Handle(request);
@@ -578,7 +579,7 @@ TEST(ProxyStreamingTest, StreamsOverRealSocketsChunkByChunk) {
   net::TcpServer front(proxy.AsHandler());
   ASSERT_TRUE(front.Start().ok());
 
-  net::TcpClientTransport client("127.0.0.1", front.port());
+  net::PooledClientTransport client("127.0.0.1", front.port());
   http::Request request;
   request.target = "/stream";
   Result<http::Response> response = client.RoundTrip(request);
@@ -589,6 +590,46 @@ TEST(ProxyStreamingTest, StreamsOverRealSocketsChunkByChunk) {
   EXPECT_EQ(proxy.stats().bytes_from_upstream, wire.size());
 
   front.Stop();
+  origin.Stop();
+}
+
+TEST(ProxyStreamingTest, BreakerGuardedUpstreamStillStreams) {
+  // A circuit breaker around the paced pooled upstream forwards the
+  // streaming round trip, so the page commits a stream instead of
+  // waiting for the whole template, and the breaker records the round
+  // trip's outcome once, at the head.
+  std::string wire = "<head>";
+  bem::TagCodec::AppendSet(5, "guarded-fragment", wire);
+  wire += "<tail>";
+  net::TcpServer origin([&wire](const http::Request&) {
+    http::Response response;
+    response.headers.Set(bem::kTemplateHeader, "1");
+    response.body_stream = std::make_shared<ScriptedStream>(
+        Split(wire, 3), /*fail_after_script=*/false,
+        /*inter_chunk_delay_micros=*/5 * kMicrosPerMilli);
+    return response;
+  });
+  ASSERT_TRUE(origin.Start().ok());
+  net::PooledTransportOptions pool_options;
+  pool_options.pool.max_connections = 2;
+  net::PooledClientTransport pooled("127.0.0.1", origin.port(),
+                                    pool_options);
+  net::CircuitBreakerTransport upstream(&pooled);
+  ProxyOptions options = SmallProxy();
+  options.upstream_breaker = &upstream.breaker();
+  DpcProxy proxy(&upstream, options);
+
+  http::Request request;
+  request.target = "/guarded";
+  Status drained;
+  EXPECT_EQ(HandleAndDrain(proxy, request, nullptr, &drained),
+            "<head>guarded-fragment<tail>");
+  EXPECT_TRUE(drained.ok()) << drained.ToString();
+  EXPECT_GE(proxy.stats().streamed, 1u);
+  net::CircuitBreakerStats breaker = upstream.breaker().stats();
+  EXPECT_EQ(breaker.state, net::BreakerState::kClosed);
+  EXPECT_EQ(breaker.window_samples, 1);
+  EXPECT_EQ(breaker.window_error_rate, 0.0);
   origin.Stop();
 }
 
@@ -627,7 +668,7 @@ TEST(ProxyStreamingTest, ColdCacheMissRecoversInlineMidStream) {
   net::TcpServer front(proxy.AsHandler());
   ASSERT_TRUE(front.Start().ok());
 
-  net::TcpClientTransport client("127.0.0.1", front.port());
+  net::PooledClientTransport client("127.0.0.1", front.port());
   http::Request request;
   request.target = "/cold";
   Result<http::Response> response = client.RoundTrip(request);
@@ -678,7 +719,7 @@ TEST(ProxyStreamingTest, RefreshNeverWaitsOnTheTemplatesOwnConnection) {
   net::TcpServer front(proxy.AsHandler());
   ASSERT_TRUE(front.Start().ok());
 
-  net::TcpClientTransport client("127.0.0.1", front.port());
+  net::PooledClientTransport client("127.0.0.1", front.port());
   http::Request request;
   request.target = "/middle";
   Result<http::Response> middle = client.RoundTrip(request);
@@ -782,7 +823,7 @@ void ExpectStalledReadersReleaseTheirConnections() {
   ASSERT_EQ(proxy.stats().bytes_from_upstream, templates);
   EXPECT_EQ(proxy.stats().streamed, static_cast<uint64_t>(kConnections));
 
-  net::TcpClientTransport client("127.0.0.1", front.port());
+  net::PooledClientTransport client("127.0.0.1", front.port());
   http::Request request;
   request.target = "/small";
   Result<http::Response> small = client.RoundTrip(request);
@@ -821,7 +862,7 @@ TEST(ProxyStreamingTest, PostCommitUpstreamFailureAbortsTheStream) {
   net::TcpServer front(proxy.AsHandler());
   ASSERT_TRUE(front.Start().ok());
 
-  net::TcpClientTransport client("127.0.0.1", front.port());
+  net::PooledClientTransport client("127.0.0.1", front.port());
   http::Request request;
   Result<http::Response> response = client.RoundTrip(request);
   EXPECT_FALSE(response.ok());
@@ -1061,7 +1102,7 @@ TEST(ProxyStreamingTest, TemplateCapAbortsMidStream) {
   net::TcpServer front(proxy.AsHandler());
   ASSERT_TRUE(front.Start().ok());
 
-  net::TcpClientTransport client("127.0.0.1", front.port());
+  net::PooledClientTransport client("127.0.0.1", front.port());
   http::Request request;
   Result<http::Response> response = client.RoundTrip(request);
   EXPECT_FALSE(response.ok());

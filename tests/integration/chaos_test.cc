@@ -459,10 +459,10 @@ TEST_F(ChaosClusterTest, EveryFaultPointFiresAcrossAllLayers) {
     });
     ASSERT_TRUE(accept_origin.Start().ok());
     ASSERT_TRUE(registry.Arm("net.accept=1:error", /*seed=*/25).ok());
-    net::TcpClientOptions starved;
-    starved.io_timeout_micros = 300 * kMicrosPerMilli;
-    net::TcpClientTransport client("127.0.0.1", accept_origin.port(),
-                                   starved);
+    net::PooledTransportOptions starved;
+    starved.pool.io_timeout_micros = 300 * kMicrosPerMilli;
+    net::PooledClientTransport client("127.0.0.1", accept_origin.port(),
+                                      starved);
     http::Request request;
     EXPECT_FALSE(client.RoundTrip(request).ok());
     EXPECT_GT(fired("net.accept"), fired_before["net.accept"]);

@@ -16,6 +16,7 @@
 #include "appserver/script_registry.h"
 #include "bem/monitor.h"
 #include "dpc/proxy.h"
+#include "net/connection_pool.h"
 #include "net/tcp.h"
 #include "storage/table.h"
 #include "storage/value.h"
@@ -82,8 +83,12 @@ class ConcurrencyTest : public ::testing::Test {
     origin_server_ = std::make_unique<net::TcpServer>(origin_->AsHandler());
     ASSERT_TRUE(origin_server_->Start().ok());
 
-    to_origin_ = std::make_unique<net::TcpClientTransport>(
-        "127.0.0.1", origin_server_->port());
+    // A pool of one serializes upstream round trips on one connection.
+    // The default of 8 exposes the reused-dpcKey race (ROADMAP item 1).
+    net::PooledTransportOptions upstream_options;
+    upstream_options.pool.max_connections = 1;
+    to_origin_ = std::make_unique<net::PooledClientTransport>(
+        "127.0.0.1", origin_server_->port(), upstream_options);
     dpc::ProxyOptions proxy_options;
     proxy_options.capacity = 64;
     proxy_ = std::make_unique<dpc::DpcProxy>(to_origin_.get(), proxy_options);
@@ -102,7 +107,7 @@ class ConcurrencyTest : public ::testing::Test {
   std::unique_ptr<bem::BackEndMonitor> monitor_;
   std::unique_ptr<appserver::OriginServer> origin_;
   std::unique_ptr<net::TcpServer> origin_server_;
-  std::unique_ptr<net::TcpClientTransport> to_origin_;
+  std::unique_ptr<net::PooledClientTransport> to_origin_;
   std::unique_ptr<dpc::DpcProxy> proxy_;
   std::unique_ptr<net::TcpServer> proxy_server_;
 };
@@ -130,7 +135,7 @@ TEST_F(ConcurrencyTest, ParallelReadersWithWriterSeeConsistentPages) {
   readers.reserve(kReaderThreads);
   for (int t = 0; t < kReaderThreads; ++t) {
     readers.emplace_back([&] {
-      net::TcpClientTransport client("127.0.0.1", proxy_server_->port());
+      net::PooledClientTransport client("127.0.0.1", proxy_server_->port());
       http::Request request;
       request.target = "/counter";
       for (int i = 0; i < kRequestsPerReader; ++i) {
@@ -168,7 +173,7 @@ TEST_F(ConcurrencyTest, ParallelReadersWithWriterSeeConsistentPages) {
   EXPECT_EQ(malformed.load(), 0);
 
   // After all writes settle, a fresh request must see the final value.
-  net::TcpClientTransport client("127.0.0.1", proxy_server_->port());
+  net::PooledClientTransport client("127.0.0.1", proxy_server_->port());
   http::Request request;
   request.target = "/counter";
   Result<http::Response> final_response = client.RoundTrip(request);
@@ -186,7 +191,7 @@ TEST_F(ConcurrencyTest, ParallelColdStartAgreesOnOnePage) {
   std::vector<std::string> bodies(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      net::TcpClientTransport client("127.0.0.1", proxy_server_->port());
+      net::PooledClientTransport client("127.0.0.1", proxy_server_->port());
       http::Request request;
       request.target = "/counter";
       Result<http::Response> response = client.RoundTrip(request);
@@ -215,7 +220,7 @@ TEST_F(ParallelOriginConcurrencyTest, ColdMultiBlockPageIsPageOrdered) {
   std::vector<std::string> bodies(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      net::TcpClientTransport client("127.0.0.1", proxy_server_->port());
+      net::PooledClientTransport client("127.0.0.1", proxy_server_->port());
       http::Request request;
       request.target = "/multi";
       Result<http::Response> response = client.RoundTrip(request);
@@ -249,7 +254,7 @@ TEST_F(ParallelOriginConcurrencyTest, HammerKeepsPagesWellFormed) {
   readers.reserve(kReaderThreads);
   for (int t = 0; t < kReaderThreads; ++t) {
     readers.emplace_back([&] {
-      net::TcpClientTransport client("127.0.0.1", proxy_server_->port());
+      net::PooledClientTransport client("127.0.0.1", proxy_server_->port());
       http::Request request;
       request.target = "/multi";
       for (int i = 0; i < kRequestsPerReader; ++i) {
@@ -286,7 +291,7 @@ TEST_F(ParallelOriginConcurrencyTest, HammerKeepsPagesWellFormed) {
   EXPECT_EQ(malformed.load(), 0);
 
   // After the writes settle every block re-renders to the final value.
-  net::TcpClientTransport client("127.0.0.1", proxy_server_->port());
+  net::PooledClientTransport client("127.0.0.1", proxy_server_->port());
   http::Request request;
   request.target = "/multi";
   Result<http::Response> final_response = client.RoundTrip(request);

@@ -12,8 +12,8 @@
 #include "appserver/script_registry.h"
 #include "bem/monitor.h"
 #include "dpc/proxy.h"
+#include "net/connection_pool.h"
 #include "net/epoll_server.h"
-#include "net/tcp.h"
 #include "storage/table.h"
 
 namespace dynaprox {
@@ -43,7 +43,12 @@ TEST(EpollProductTest, DpcOverEpollOriginServesCorrectPages) {
   net::EpollServer origin_server(origin.AsHandler(), 0, /*workers=*/2);
   ASSERT_TRUE(origin_server.Start().ok());
 
-  net::TcpClientTransport to_origin("127.0.0.1", origin_server.port());
+  // A pool of one serializes upstream round trips on one connection.
+  // The default of 8 exposes the reused-dpcKey race (ROADMAP item 1).
+  net::PooledTransportOptions upstream_options;
+  upstream_options.pool.max_connections = 1;
+  net::PooledClientTransport to_origin("127.0.0.1", origin_server.port(),
+                                       upstream_options);
   dpc::ProxyOptions proxy_options;
   proxy_options.capacity = 16;
   dpc::DpcProxy proxy(&to_origin, proxy_options);
@@ -56,7 +61,7 @@ TEST(EpollProductTest, DpcOverEpollOriginServesCorrectPages) {
   std::vector<std::thread> clients;
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&] {
-      net::TcpClientTransport client("127.0.0.1", proxy_server.port());
+      net::PooledClientTransport client("127.0.0.1", proxy_server.port());
       http::Request request;
       request.target = "/page";
       for (int i = 0; i < kPerThread; ++i) {

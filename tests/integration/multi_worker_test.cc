@@ -16,9 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include "net/connection_pool.h"
 #include "net/epoll_server.h"
 #include "net/server_limits.h"
-#include "net/tcp.h"
 
 namespace dynaprox::net {
 namespace {
@@ -63,7 +63,7 @@ TEST(MultiWorkerTest, PerWorkerCountersSumToTotals) {
   std::atomic<int> failures{0};
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      TcpClientTransport client("127.0.0.1", server.port());
+      PooledClientTransport client("127.0.0.1", server.port());
       for (int i = 0; i < kPerClient; ++i) {
         http::Request request;
         request.target = "/c" + std::to_string(c);
@@ -99,7 +99,7 @@ TEST(MultiWorkerTest, KeepAliveConnectionStaysPinnedToOneWorker) {
       },
       0, /*num_workers=*/3);
   ASSERT_TRUE(server.Start().ok());
-  TcpClientTransport client("127.0.0.1", server.port());
+  PooledClientTransport client("127.0.0.1", server.port());
   std::string first;
   for (int i = 0; i < 25; ++i) {
     Result<http::Response> response = client.RoundTrip(http::Request{});
@@ -128,8 +128,8 @@ TEST(MultiWorkerTest, ByteIdenticalAcrossWorkerCounts) {
   EpollServer sharded(handler, 0, /*num_workers=*/4);
   ASSERT_TRUE(single.Start().ok());
   ASSERT_TRUE(sharded.Start().ok());
-  TcpClientTransport to_single("127.0.0.1", single.port());
-  TcpClientTransport to_sharded("127.0.0.1", sharded.port());
+  PooledClientTransport to_single("127.0.0.1", single.port());
+  PooledClientTransport to_sharded("127.0.0.1", sharded.port());
   for (int i = 0; i < 10; ++i) {
     http::Request request;
     request.target = "/page" + std::to_string(i);
@@ -162,7 +162,7 @@ TEST(MultiWorkerTest, DrainAcrossWorkersLosesNothing) {
   std::atomic<int> closed_marked{0};
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      TcpClientTransport client("127.0.0.1", server.port());
+      PooledClientTransport client("127.0.0.1", server.port());
       http::Request request;
       request.target = "/drain" + std::to_string(c);
       Result<http::Response> response = client.RoundTrip(request);
@@ -202,7 +202,7 @@ TEST(MultiWorkerTest, CallerSuppliedWorkerSlotsAreUsed) {
   limits.worker_counter_count = kWorkers;
   EpollServer server(EchoHandler, 0, kWorkers, limits);
   ASSERT_TRUE(server.Start().ok());
-  TcpClientTransport client("127.0.0.1", server.port());
+  PooledClientTransport client("127.0.0.1", server.port());
   ASSERT_TRUE(client.RoundTrip(http::Request{}).ok());
   uint64_t sum = 0;
   for (int w = 0; w < kWorkers; ++w) {

@@ -91,8 +91,8 @@ struct Stack {
     proxy = std::make_unique<dpc::DpcProxy>(upstream.get(), proxy_options);
     front = std::make_unique<net::TcpServer>(proxy->AsHandler());
     if (!front->Start().ok()) abort();
-    client = std::make_unique<net::TcpClientTransport>("127.0.0.1",
-                                                       front->port());
+    client = std::make_unique<net::PooledClientTransport>("127.0.0.1",
+                                                          front->port());
   }
 
   ~Stack() {
@@ -119,7 +119,7 @@ struct Stack {
   std::unique_ptr<net::Transport> upstream;
   std::unique_ptr<dpc::DpcProxy> proxy;
   std::unique_ptr<net::TcpServer> front;
-  std::unique_ptr<net::TcpClientTransport> client;
+  std::unique_ptr<net::PooledClientTransport> client;
 };
 
 class StreamingEquivalenceTest : public ::testing::Test {

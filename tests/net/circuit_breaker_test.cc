@@ -168,9 +168,18 @@ class FlippableTransport : public Transport {
     return http::Response::MakeOk("ok");
   }
 
+  // Counts the calls that reach the streaming path, then answers through
+  // the whole-body adapter over RoundTrip.
+  Result<StreamingResponse> RoundTripStreaming(
+      const http::Request& request) override {
+    ++streaming_round_trips_;
+    return Transport::RoundTripStreaming(request);
+  }
+
   bool fail_ = false;
   bool answer_500_ = false;
   int round_trips_ = 0;
+  int streaming_round_trips_ = 0;
 };
 
 TEST(CircuitBreakerTransportTest, RejectionsNeverReachInnerTransport) {
@@ -226,6 +235,58 @@ TEST(CircuitBreakerTransportTest, Http5xxCountsAsFailureWhenConfigured) {
     EXPECT_EQ(r->status_code, 500);
   }
   EXPECT_EQ(transport.breaker().state(), BreakerState::kOpen);
+}
+
+TEST(CircuitBreakerTransportTest, StreamingPathTripsRejectsAndRecovers) {
+  SimClock clock;
+  FlippableTransport inner;
+  CircuitBreakerTransportOptions options;
+  options.breaker = FastBreaker(&clock);
+  CircuitBreakerTransport transport(&inner, options);
+
+  inner.fail_ = true;
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_FALSE(transport.RoundTripStreaming(http::Request{}).ok());
+  }
+  ASSERT_EQ(transport.breaker().state(), BreakerState::kOpen);
+  // Forwarded to the inner streaming path, not adapted over RoundTrip.
+  EXPECT_EQ(inner.streaming_round_trips_, 4);
+
+  Result<StreamingResponse> rejected =
+      transport.RoundTripStreaming(http::Request{});
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(IsBreakerRejection(rejected.status()));
+  EXPECT_EQ(inner.streaming_round_trips_, 4);  // Fast-failed, no dial.
+
+  inner.fail_ = false;
+  clock.AdvanceMicros(100 * kMicrosPerMilli);
+  for (int probe = 0; probe < 2; ++probe) {
+    Result<StreamingResponse> response =
+        transport.RoundTripStreaming(http::Request{});
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    Result<http::Response> whole = DrainWhole(std::move(*response));
+    ASSERT_TRUE(whole.ok());
+    EXPECT_EQ(whole->body, "ok");
+  }
+  EXPECT_EQ(transport.breaker().state(), BreakerState::kClosed);
+}
+
+TEST(CircuitBreakerTransportTest, Http5xxHeadCountsOnTheStreamingPath) {
+  SimClock clock;
+  FlippableTransport inner;
+  CircuitBreakerTransportOptions options;
+  options.breaker = FastBreaker(&clock);
+  CircuitBreakerTransport transport(&inner, options);
+
+  inner.answer_500_ = true;
+  for (int i = 0; i < 4; ++i) {
+    Result<StreamingResponse> response =
+        transport.RoundTripStreaming(http::Request{});
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->head.status_code, 500);
+  }
+  EXPECT_EQ(transport.breaker().state(), BreakerState::kOpen);
+  EXPECT_EQ(inner.streaming_round_trips_, 4);
 }
 
 TEST(CircuitBreakerTransportTest, Http5xxIgnoredWhenDisabled) {

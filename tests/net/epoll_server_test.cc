@@ -15,7 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "http/parser.h"
-#include "net/tcp.h"
+#include "net/connection_pool.h"
 
 namespace dynaprox::net {
 namespace {
@@ -29,7 +29,7 @@ TEST(EpollServerTest, RoundTrip) {
   EpollServer server(EchoHandler);
   ASSERT_TRUE(server.Start().ok());
   ASSERT_NE(server.port(), 0);
-  TcpClientTransport client("127.0.0.1", server.port());
+  PooledClientTransport client("127.0.0.1", server.port());
   http::Request request;
   request.method = "POST";
   request.target = "/hello";
@@ -43,7 +43,7 @@ TEST(EpollServerTest, RoundTrip) {
 TEST(EpollServerTest, KeepAliveSequence) {
   EpollServer server(EchoHandler);
   ASSERT_TRUE(server.Start().ok());
-  TcpClientTransport client("127.0.0.1", server.port());
+  PooledClientTransport client("127.0.0.1", server.port());
   for (int i = 0; i < 50; ++i) {
     http::Request request;
     request.target = "/r" + std::to_string(i);
@@ -62,7 +62,7 @@ TEST(EpollServerTest, LargeResponseWithPartialWrites) {
     return http::Response::MakeOk(big);
   });
   ASSERT_TRUE(server.Start().ok());
-  TcpClientTransport client("127.0.0.1", server.port());
+  PooledClientTransport client("127.0.0.1", server.port());
   Result<http::Response> response = client.RoundTrip(http::Request{});
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->body.size(), big.size());
@@ -85,7 +85,7 @@ TEST(EpollServerTest, ManyConcurrentClients) {
   std::vector<std::thread> clients;
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
-      TcpClientTransport client("127.0.0.1", server.port());
+      PooledClientTransport client("127.0.0.1", server.port());
       for (int i = 0; i < kPerThread; ++i) {
         http::Request request;
         request.target = "/t" + std::to_string(t);
@@ -314,9 +314,9 @@ TEST(EpollServerTest, FdExhaustionIsCountedPerEpisode) {
     ::close(dummies.back());
     dummies.pop_back();
     {
-      TcpClientOptions options;
-      options.io_timeout_micros = 300 * kMicrosPerMilli;
-      TcpClientTransport starved("127.0.0.1", server.port(), options);
+      PooledTransportOptions options;
+      options.pool.io_timeout_micros = 300 * kMicrosPerMilli;
+      PooledClientTransport starved("127.0.0.1", server.port(), options);
       http::Request request;
       // May fail or succeed depending on kernel fd accounting; only the
       // episode bookkeeping below is deterministic.
@@ -332,10 +332,13 @@ TEST(EpollServerTest, FdExhaustionIsCountedPerEpisode) {
     // level-triggered listener retries continuously while starved.
     EXPECT_EQ(episodes, episode);
     for (int fd : dummies) ::close(fd);
-    // A successful accept re-arms the episode reporting — without it the
-    // next outage would go uncounted (the pre-fix behaviour: the flag was
-    // set once and never reset).
-    TcpClientTransport recovered("127.0.0.1", server.port());
+    // A successful accept with a descriptor to spare re-arms the episode
+    // reporting — without it the next outage would go uncounted (the
+    // pre-fix behaviour: the flag was set once and never reset). The
+    // accept that takes the last free descriptor does not: the accept4
+    // after it fails with EMFILE on an empty backlog, which is the same
+    // outage, not a second one.
+    PooledClientTransport recovered("127.0.0.1", server.port());
     http::Request request;
     ASSERT_TRUE(recovered.RoundTrip(request).ok());
   }

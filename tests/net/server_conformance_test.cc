@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include "http/parser.h"
+#include "net/connection_pool.h"
 #include "net/epoll_server.h"
 #include "net/tcp.h"
 
@@ -123,7 +124,7 @@ bool WaitForEof(int fd) {
 TEST_P(ServerConformanceTest, KeepAliveReusesOneConnection) {
   ServerUnderTest server(GetParam(), EchoHandler);
   ASSERT_TRUE(server.Start().ok());
-  TcpClientTransport client("127.0.0.1", server.port());
+  PooledClientTransport client("127.0.0.1", server.port());
   for (int i = 0; i < 20; ++i) {
     http::Request request;
     request.target = "/r" + std::to_string(i);

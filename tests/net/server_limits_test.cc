@@ -24,7 +24,7 @@ http::Response EchoHandler(const http::Request& request) {
 }
 
 // Raw loopback socket so tests can speak malformed / partial / slow HTTP
-// that TcpClientTransport would never emit.
+// that PooledClientTransport would never emit.
 class RawClient {
  public:
   explicit RawClient(uint16_t port) {

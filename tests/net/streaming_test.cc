@@ -1,7 +1,7 @@
 // End-to-end streaming over real sockets: handlers that return a
 // Response::body_stream (served chunked by TcpServer and EpollServer) and
-// the client half (Transport::RoundTripStreaming on the buffered adapter,
-// TcpClientTransport, and PooledClientTransport).
+// the client half (Transport::RoundTripStreaming on the buffered adapter
+// and on PooledClientTransport, whose RoundTrip drains the same stream).
 
 #include <atomic>
 #include <condition_variable>
@@ -77,7 +77,7 @@ TEST(StreamingTest, TcpServerStreamsChunkedToBufferedClient) {
     return StreamedResponse({"one ", "two ", "three"});
   });
   ASSERT_TRUE(server.Start().ok());
-  TcpClientTransport client("127.0.0.1", server.port());
+  PooledClientTransport client("127.0.0.1", server.port());
   http::Request request;
   request.target = "/streamed";
   Result<http::Response> response = client.RoundTrip(request);
@@ -92,7 +92,7 @@ TEST(StreamingTest, EpollServerStreamsChunkedToBufferedClient) {
     return StreamedResponse({"alpha", "beta", "gamma"});
   });
   ASSERT_TRUE(server.Start().ok());
-  TcpClientTransport client("127.0.0.1", server.port());
+  PooledClientTransport client("127.0.0.1", server.port());
   http::Request request;
   request.target = "/streamed";
   Result<http::Response> response = client.RoundTrip(request);
@@ -117,7 +117,7 @@ TEST(StreamingTest, KeepAliveSurvivesAStreamedResponse) {
   ASSERT_TRUE(tcp_server.Start().ok());
   ASSERT_TRUE(epoll_server.Start().ok());
   for (uint16_t port : {tcp_server.port(), epoll_server.port()}) {
-    TcpClientTransport client("127.0.0.1", port);
+    PooledClientTransport client("127.0.0.1", port);
     for (int round = 0; round < 3; ++round) {
       http::Request request;
       request.target = "/streamed";
@@ -155,7 +155,7 @@ TEST(StreamingTest, MidStreamErrorSurfacesAsTruncatedBody) {
       ASSERT_TRUE(tcp->Start().ok());
       port = tcp->port();
     }
-    TcpClientTransport client("127.0.0.1", port);
+    PooledClientTransport client("127.0.0.1", port);
     http::Request request;
     request.target = "/aborted";
     Result<http::Response> response = client.RoundTrip(request);
@@ -175,7 +175,7 @@ TEST(StreamingTest, LargeStreamedBodyAppliesBackpressure) {
     return StreamedResponse(std::move(chunks));
   });
   ASSERT_TRUE(server.Start().ok());
-  TcpClientTransport client("127.0.0.1", server.port());
+  PooledClientTransport client("127.0.0.1", server.port());
   http::Request request;
   request.target = "/big";
   Result<http::Response> response = client.RoundTrip(request);
@@ -199,12 +199,12 @@ TEST(StreamingTest, DefaultAdapterDeliversBufferedBodyAsOneStream) {
   EXPECT_EQ(DrainAll(*streaming->body), "whole");
 }
 
-TEST(StreamingTest, TcpClientRoundTripStreamingDeliversBodyIncrementally) {
+TEST(StreamingTest, PooledRoundTripStreamingDeliversBodyIncrementally) {
   TcpServer server([](const http::Request&) {
     return StreamedResponse({"first|", "second|", "third"});
   });
   ASSERT_TRUE(server.Start().ok());
-  TcpClientTransport client("127.0.0.1", server.port());
+  PooledClientTransport client("127.0.0.1", server.port());
   http::Request request;
   request.target = "/streamed";
   Result<StreamingResponse> streaming = client.RoundTripStreaming(request);
@@ -217,22 +217,25 @@ TEST(StreamingTest, TcpClientRoundTripStreamingDeliversBodyIncrementally) {
   // Fully drained: the connection is reusable for an ordinary round trip.
   Result<http::Response> next = client.RoundTrip(request);
   EXPECT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(client.pool().stats().connects, 1u);
   server.Stop();
 }
 
-TEST(StreamingTest, TcpClientStreamingSeesMidBodyTruncation) {
+TEST(StreamingTest, PooledStreamingSeesMidBodyTruncation) {
   TcpServer server([](const http::Request&) {
     return StreamedResponse({"bytes-then-abort"},
                             /*fail_after_script=*/true);
   });
   ASSERT_TRUE(server.Start().ok());
-  TcpClientTransport client("127.0.0.1", server.port());
+  PooledClientTransport client("127.0.0.1", server.port());
   http::Request request;
   Result<StreamingResponse> streaming = client.RoundTripStreaming(request);
   ASSERT_TRUE(streaming.ok()) << streaming.status().ToString();
   Status drained;
   std::string body = DrainAll(*streaming->body, &drained);
   EXPECT_FALSE(drained.ok());
+  // The framing state is unknown: the connection is closed, not pooled.
+  EXPECT_EQ(client.pool().stats().open_connections, 0);
   server.Stop();
 }
 

@@ -1,20 +1,12 @@
 #include "net/transport.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <atomic>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bem/protocol.h"
 #include "net/idempotency.h"
-#include "net/tcp.h"
 
 namespace dynaprox::net {
 namespace {
@@ -138,105 +130,6 @@ TEST(IdempotencyTest, SafeToRetryRules) {
   refresh_get.headers.Set(bem::kRefreshHeader, "a1,b2");
   EXPECT_FALSE(SafeToRetry(refresh_get, 10, {bem::kRefreshHeader}));
   EXPECT_TRUE(SafeToRetry(refresh_get, 0, {bem::kRefreshHeader}));
-}
-
-// Accepts connections one at a time; reads one request off each, closes
-// the first `drop_count` without responding, and answers the rest.
-// Simulates an origin that dies after receiving a request.
-class DroppingServer {
- public:
-  explicit DroppingServer(int drop_count) : drop_count_(drop_count) {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                     sizeof(addr)),
-              0);
-    EXPECT_EQ(::listen(listen_fd_, 8), 0);
-    socklen_t len = sizeof(addr);
-    EXPECT_EQ(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                            &len),
-              0);
-    port_ = ntohs(addr.sin_port);
-    thread_ = std::thread([this] { Serve(); });
-  }
-
-  ~DroppingServer() {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    if (thread_.joinable()) thread_.join();
-  }
-
-  uint16_t port() const { return port_; }
-  int requests_received() const { return received_.load(); }
-
- private:
-  void Serve() {
-    for (;;) {
-      int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) return;  // Listener closed by the destructor.
-      char buf[4096];
-      if (::recv(fd, buf, sizeof(buf), 0) > 0) {
-        int index = received_.fetch_add(1);
-        if (index >= drop_count_) {
-          const char kResponse[] =
-              "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
-          (void)!::send(fd, kResponse, sizeof(kResponse) - 1, MSG_NOSIGNAL);
-        }
-      }
-      ::close(fd);
-    }
-  }
-
-  int drop_count_;
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<int> received_{0};
-  std::thread thread_;
-};
-
-TEST(TcpClientRetryTest, NonIdempotentRequestIsNotDuplicated) {
-  // The origin receives the POST, then dies without answering. The
-  // request bytes reached the server, so the client must surface the
-  // error instead of silently re-sending a possibly-executed request.
-  DroppingServer server(/*drop_count=*/1);
-  TcpClientTransport client("127.0.0.1", server.port());
-  http::Request post;
-  post.method = "POST";
-  post.target = "/charge";
-  post.body = "amount=1";
-  Result<http::Response> response = client.RoundTrip(post);
-  EXPECT_FALSE(response.ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(server.requests_received(), 1);
-}
-
-TEST(TcpClientRetryTest, IdempotentRequestIsRetriedOnce) {
-  DroppingServer server(/*drop_count=*/1);
-  TcpClientTransport client("127.0.0.1", server.port());
-  http::Request get;
-  get.target = "/page";
-  Result<http::Response> response = client.RoundTrip(get);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->body, "ok");
-  EXPECT_EQ(server.requests_received(), 2);  // Dropped once, retried once.
-}
-
-TEST(TcpClientRetryTest, RefreshHeaderSuppressesRetry) {
-  // A GET carrying the BEM refresh header triggers invalidations at the
-  // origin; configured as non-idempotent it must not be re-sent either.
-  DroppingServer server(/*drop_count=*/1);
-  TcpClientOptions options;
-  options.non_idempotent_headers = {bem::kRefreshHeader};
-  TcpClientTransport client("127.0.0.1", server.port(), options);
-  http::Request refresh_get;
-  refresh_get.target = "/page";
-  refresh_get.headers.Set(bem::kRefreshHeader, "a1,b2");
-  Result<http::Response> response = client.RoundTrip(refresh_get);
-  EXPECT_FALSE(response.ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(server.requests_received(), 1);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include "common/buffer_chain.h"
 #include "http/parser.h"
+#include "net/connection_pool.h"
 #include "net/epoll_server.h"
 #include "net/tcp.h"
 
@@ -141,7 +142,7 @@ TEST(VectoredWriteTest, EpollKeepAliveSurvivesChainedResponses) {
   EpollServer server(
       [](const http::Request&) { return ChainedResponse(); });
   ASSERT_TRUE(server.Start().ok());
-  TcpClientTransport client("127.0.0.1", server.port());
+  PooledClientTransport client("127.0.0.1", server.port());
   const std::string expected = ExpectedBody();
   for (int i = 0; i < 3; ++i) {
     Result<http::Response> response = client.RoundTrip(http::Request{});

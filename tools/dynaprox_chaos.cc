@@ -39,9 +39,9 @@
 #include "dpc/proxy.h"
 #include "edge/cluster.h"
 #include "net/byte_meter.h"
+#include "net/connection_pool.h"
 #include "net/epoll_server.h"
 #include "net/server_limits.h"
-#include "net/tcp.h"
 #include "net/transport.h"
 #include "storage/table.h"
 
@@ -410,16 +410,18 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--chaos: %s\n", armed.ToString().c_str());
       return 2;
     }
-    net::TcpClientOptions client_options;
-    client_options.io_timeout_micros = 2 * kMicrosPerSecond;
+    net::PooledTransportOptions client_options;
+    client_options.pool.io_timeout_micros = 2 * kMicrosPerSecond;
     // Fresh connection per request: each round trip crosses the accept
-    // seam again, on whichever worker the kernel hashes it to.
+    // seam again, on whichever worker the kernel hashes it to. A failure
+    // on a freshly dialed connection is never retried, so each faulted
+    // accept is one refusal.
     for (int i = 0; i < 64; ++i) {
       int page = ZipfPick(workload, kPages);
       http::Request request;
       request.target = PagePath(page);
-      net::TcpClientTransport client("127.0.0.1", ingress.port(),
-                                     client_options);
+      net::PooledClientTransport client("127.0.0.1", ingress.port(),
+                                        client_options);
       Result<http::Response> response = client.RoundTrip(request);
       if (!response.ok()) {
         // The faulted accept closes the admitted fd before service; the
@@ -448,8 +450,8 @@ int main(int argc, char** argv) {
       int page = ZipfPick(workload, kPages);
       http::Request request;
       request.target = PagePath(page);
-      net::TcpClientTransport client("127.0.0.1", ingress.port(),
-                                     client_options);
+      net::PooledClientTransport client("127.0.0.1", ingress.port(),
+                                        client_options);
       Result<http::Response> response = client.RoundTrip(request);
       if (!response.ok() || response->status_code != 200 ||
           response->BodyText() != oracle[page]) {

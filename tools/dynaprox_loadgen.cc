@@ -16,7 +16,7 @@
 #include "common/clock.h"
 #include "common/flags.h"
 #include "common/histogram.h"
-#include "net/tcp.h"
+#include "net/connection_pool.h"
 #include "workload/request_stream.h"
 #include "workload/trace.h"
 
@@ -35,7 +35,7 @@ struct SharedResults {
 
 void RunWorker(const std::string& host, uint16_t port,
                std::vector<http::Request> requests, SharedResults* results) {
-  net::TcpClientTransport client(host, port);
+  net::PooledClientTransport client(host, port);
   SystemClock clock;
   Histogram local_latency;
   uint64_t ok = 0, errors = 0, transport_errors = 0, body_bytes = 0;
