@@ -151,6 +151,12 @@ void OriginServer::RegisterMetrics() {
         "dynaprox_origin_block_pool_queue_depth",
         "Tasks waiting in the block-execution pool queue.",
         [pool] { return static_cast<double>(pool->stats().queue_depth); });
+    registry_mx_.RegisterCallbackGauge(
+        "dynaprox_origin_block_pool_peak_queue_depth",
+        "Most tasks ever waiting in the block-execution pool queue.",
+        [pool] {
+          return static_cast<double>(pool->stats().peak_queue_depth);
+        });
     registry_mx_.RegisterCallbackCounter(
         "dynaprox_origin_block_pool_submitted_total",
         "Tasks submitted to the block-execution pool.",
@@ -298,56 +304,8 @@ void OriginServer::ApplyHeaderPadding(http::Response& response) const {
 }
 
 http::Response OriginServer::RenderStatus() const {
-  OriginStats snapshot = stats();
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("component").String("origin");
-  json.Key("caching_enabled").Bool(monitor_ != nullptr);
-  json.Key("requests").Uint(snapshot.requests);
-  json.Key("not_found").Uint(snapshot.not_found);
-  json.Key("script_errors").Uint(snapshot.script_errors);
-  json.Key("refresh_invalidations").Uint(snapshot.refresh_invalidations);
-  json.Key("body_bytes_sent").Uint(snapshot.body_bytes_sent);
-  json.Key("fragments").BeginObject();
-  json.Key("hits").Uint(snapshot.fragment_hits);
-  json.Key("misses").Uint(snapshot.fragment_misses);
-  json.Key("uncacheable").Uint(snapshot.fragment_uncacheable);
-  json.Key("parallel_blocks").Uint(snapshot.parallel_blocks);
-  json.EndObject();
-  if (block_pool_ != nullptr) {
-    common::ThreadPoolStats pool = block_pool_->stats();
-    json.Key("block_pool").BeginObject();
-    json.Key("threads").Uint(static_cast<uint64_t>(pool.threads));
-    json.Key("submitted").Uint(pool.submitted);
-    json.Key("executed").Uint(pool.executed);
-    json.Key("caller_runs").Uint(pool.caller_runs);
-    json.Key("queue_depth").Uint(pool.queue_depth);
-    json.Key("peak_queue_depth").Uint(pool.peak_queue_depth);
-    json.Key("queue_contentions").Uint(pool.queue_contentions);
-    json.EndObject();
-  }
-  if (monitor_ != nullptr) {
-    bem::DirectoryStats directory = monitor_->stats();
-    json.Key("directory").BeginObject();
-    json.Key("capacity").Uint(monitor_->capacity());
-    json.Key("hits").Uint(directory.hits);
-    json.Key("misses").Uint(directory.misses);
-    json.Key("hit_ratio").Double(directory.HitRatio());
-    json.Key("inserts").Uint(directory.inserts);
-    json.Key("ttl_invalidations").Uint(directory.ttl_invalidations);
-    json.Key("explicit_invalidations")
-        .Uint(directory.explicit_invalidations);
-    json.Key("evictions").Uint(directory.evictions);
-    bem::BackEndMonitor::ConcurrencyStats concurrency =
-        monitor_->concurrency_stats();
-    json.Key("concurrency").BeginObject();
-    json.Key("stripe_contentions").Uint(concurrency.stripe_contentions);
-    json.Key("policy_contentions").Uint(concurrency.policy_contentions);
-    json.Key("free_list_contentions")
-        .Uint(concurrency.free_list_contentions);
-    json.Key("registry_contentions").Uint(concurrency.registry_contentions);
-    json.Key("insert_races").Uint(concurrency.insert_races);
-    json.EndObject();
+  auto sample_entries = [this](JsonWriter& json) {
+    if (monitor_ == nullptr) return;
     json.Key("sample_entries").BeginArray();
     for (const auto& entry : monitor_->SnapshotEntries(20)) {
       json.BeginObject();
@@ -359,38 +317,9 @@ http::Response OriginServer::RenderStatus() const {
       json.EndObject();
     }
     json.EndArray();
-    json.EndObject();
-  }
-  if (options_.push_engine != nullptr) {
-    const PushEngine* engine = options_.push_engine;
-    bem::PushSchedulerStats sched = engine->scheduler().stats();
-    PushEngineStats push = engine->stats();
-    metrics::LatencyHistogram::Snapshot staleness =
-        engine->staleness().snapshot();
-    json.Key("push").BeginObject();
-    json.Key("enqueued").Uint(sched.enqueued);
-    json.Key("skipped_cold").Uint(sched.skipped_cold);
-    json.Key("dropped").Uint(sched.dropped);
-    json.Key("queue_depth")
-        .Uint(static_cast<uint64_t>(engine->scheduler().queue_depth()));
-    json.Key("sent").Uint(push.pushed);
-    json.Key("failures").Uint(push.push_failures);
-    json.Key("no_producer").Uint(push.no_producer);
-    json.Key("missing_capture").Uint(push.missing_capture);
-    json.Key("staleness_p50_s").Double(staleness.Percentile(0.5));
-    json.Key("staleness_p99_s").Double(staleness.Percentile(0.99));
-    json.EndObject();
-  }
-  if (options_.ingress != nullptr) {
-    net::WriteIngressStatusBlock(json, *options_.ingress);
-  }
-  if (options_.worker_ingress != nullptr &&
-      options_.worker_ingress_count > 0) {
-    net::WriteWorkerIngressStatusBlock(json, options_.worker_ingress,
-                                       options_.worker_ingress_count);
-  }
-  json.EndObject();
-  return http::Response::MakeOk(json.TakeString(), "application/json");
+  };
+  return http::Response::MakeOk(
+      registry_mx_.RenderJson("origin", sample_entries), "application/json");
 }
 
 http::Response OriginServer::Handle(const http::Request& request) {

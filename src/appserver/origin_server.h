@@ -29,7 +29,8 @@ struct OriginOptions {
   // head size in bytes; 0 disables. Used by the sim to realize the paper's
   // header-size parameter f (Table 2: f = 500).
   size_t pad_headers_to_bytes = 0;
-  // Serve a JSON status document (origin + BEM counters) at status_path.
+  // Serve the metrics registry as a JSON status document
+  // (docs/observability.md) at status_path.
   bool enable_status = false;
   std::string status_path = "/_dynaprox/status";
   // Serve the Prometheus text exposition (docs/observability.md) at
@@ -43,15 +44,14 @@ struct OriginOptions {
   // SystemClock. Not owned; must outlive the server when set.
   const Clock* clock = nullptr;
   // When the hosting server enforces net::ServerLimits, exposes its
-  // ingress gauges/violation counters in the status document and metric
-  // exposition. Not owned; may be null; must outlive the server when set.
+  // ingress gauges/violation counters as metrics. Not owned; may be null;
+  // must outlive the server when set.
   const net::IngressCounters* ingress = nullptr;
   // Per-worker ingress mirrors of a multi-worker server (EpollServer with
   // workers > 1): exposes the labeled
-  // dynaprox_origin_ingress_worker_*{worker=N} series and the status
-  // document's "workers" array. The slots sum to the `ingress` totals by
-  // construction. Not owned; may be null; must outlive the server when
-  // set.
+  // dynaprox_origin_ingress_worker_*{worker=N} series. The slots sum to
+  // the `ingress` totals by construction. Not owned; may be null; must
+  // outlive the server when set.
   const net::IngressCounters* worker_ingress = nullptr;
   int worker_ingress_count = 0;
   // Block-execution pool: > 0 runs independent cacheable-block miss
@@ -67,7 +67,7 @@ struct OriginOptions {
   // must outlive the server when set. The caller attaches it to the BEM
   // observer and calls engine->AttachOrigin(server) after construction.
   // Every render records its fragment→request mapping here, and the
-  // push metrics/status blocks appear when set. Requires a BEM.
+  // push metrics appear when set. Requires a BEM.
   PushEngine* push_engine = nullptr;
 };
 
@@ -152,6 +152,7 @@ class OriginServer {
   // Applies X-DPC-Refresh invalidations and returns the canonical ids of
   // the fragments refreshed, to be force-missed in the re-render.
   std::vector<std::string> HandleRefreshHeader(const http::Request& request);
+  // The registry as JSON, plus a sample of directory entries.
   http::Response RenderStatus() const;
 
   const ScriptRegistry* registry_;

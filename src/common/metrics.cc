@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/json.h"
+
 namespace dynaprox::metrics {
 namespace {
 
@@ -17,9 +19,13 @@ std::string FormatBound(double value) {
   return buf;
 }
 
+// Exact integers render without an exponent, in both renderers.
+bool IsWhole(double value) {
+  return std::abs(value) < 1e15 && value == std::trunc(value);
+}
+
 std::string FormatSample(double value) {
-  if (value == static_cast<int64_t>(value) &&
-      std::abs(value) < 1e15) {  // Exact integer: render without exponent.
+  if (IsWhole(value)) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld",
                   static_cast<long long>(value));
@@ -28,6 +34,30 @@ std::string FormatSample(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", value);
   return buf;
+}
+
+std::string FormatSample(const std::variant<uint64_t, double>& value) {
+  if (const uint64_t* count = std::get_if<uint64_t>(&value)) {
+    return std::to_string(*count);
+  }
+  return FormatSample(std::get<double>(value));
+}
+
+void WriteSample(JsonWriter& json, double value) {
+  if (IsWhole(value)) {
+    json.Int(static_cast<int64_t>(value));
+  } else {
+    json.Double(value);
+  }
+}
+
+void WriteSample(JsonWriter& json,
+                 const std::variant<uint64_t, double>& value) {
+  if (const uint64_t* count = std::get_if<uint64_t>(&value)) {
+    json.Uint(*count);
+  } else {
+    WriteSample(json, std::get<double>(value));
+  }
 }
 
 }  // namespace
@@ -105,30 +135,37 @@ Registry::Entry* Registry::Find(const std::string& name) {
   return nullptr;
 }
 
+Registry::Entry* Registry::AddLocked(const std::string& name,
+                                     const std::string& help, Type type,
+                                     std::string label_key,
+                                     std::function<Reading()> read) {
+  auto entry = std::make_unique<Entry>();
+  entry->name = name;
+  entry->help = help;
+  entry->type = type;
+  entry->label_key = std::move(label_key);
+  entry->read = std::move(read);
+  entries_.push_back(std::move(entry));
+  return entries_.back().get();
+}
+
+void Registry::Add(const std::string& name, const std::string& help,
+                   Type type, std::string label_key,
+                   std::function<Reading()> read) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (Find(name) != nullptr) return;
+  AddLocked(name, help, type, std::move(label_key), std::move(read));
+}
+
 Counter* Registry::GetCounter(const std::string& name,
                               const std::string& help) {
   std::lock_guard<std::mutex> lock(mu_);
   if (Entry* existing = Find(name)) return existing->counter.get();
-  auto entry = std::make_unique<Entry>();
-  entry->kind = Kind::kCounter;
-  entry->name = name;
-  entry->help = help;
-  entry->counter = std::make_unique<Counter>();
-  Counter* handle = entry->counter.get();
-  entries_.push_back(std::move(entry));
-  return handle;
-}
-
-Gauge* Registry::GetGauge(const std::string& name, const std::string& help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (Entry* existing = Find(name)) return existing->gauge.get();
-  auto entry = std::make_unique<Entry>();
-  entry->kind = Kind::kGauge;
-  entry->name = name;
-  entry->help = help;
-  entry->gauge = std::make_unique<Gauge>();
-  Gauge* handle = entry->gauge.get();
-  entries_.push_back(std::move(entry));
+  auto counter = std::make_unique<Counter>();
+  Counter* handle = counter.get();
+  AddLocked(name, help, Type::kCounter, "", [handle] {
+    return Reading{{{"", handle->value()}}, {}};
+  })->counter = std::move(counter);
   return handle;
 }
 
@@ -138,40 +175,26 @@ LatencyHistogram* Registry::GetHistogram(const std::string& name,
   std::lock_guard<std::mutex> lock(mu_);
   if (Entry* existing = Find(name)) return existing->histogram.get();
   if (bounds.empty()) bounds = LatencyHistogram::DefaultLatencySecondsBounds();
-  auto entry = std::make_unique<Entry>();
-  entry->kind = Kind::kHistogram;
-  entry->name = name;
-  entry->help = help;
-  entry->histogram = std::make_unique<LatencyHistogram>(std::move(bounds));
-  LatencyHistogram* handle = entry->histogram.get();
-  entries_.push_back(std::move(entry));
+  auto histogram = std::make_unique<LatencyHistogram>(std::move(bounds));
+  LatencyHistogram* handle = histogram.get();
+  AddLocked(name, help, Type::kHistogram, "", [handle] {
+    return Reading{{}, handle->snapshot()};
+  })->histogram = std::move(histogram);
   return handle;
 }
 
 void Registry::RegisterCallbackCounter(const std::string& name,
                                        const std::string& help,
                                        std::function<uint64_t()> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (Find(name) != nullptr) return;
-  auto entry = std::make_unique<Entry>();
-  entry->kind = Kind::kCallbackCounter;
-  entry->name = name;
-  entry->help = help;
-  entry->callback_counter = std::move(fn);
-  entries_.push_back(std::move(entry));
+  Add(name, help, Type::kCounter, "",
+      [fn = std::move(fn)] { return Reading{{{"", fn()}}, {}}; });
 }
 
 void Registry::RegisterCallbackGauge(const std::string& name,
                                      const std::string& help,
                                      std::function<double()> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (Find(name) != nullptr) return;
-  auto entry = std::make_unique<Entry>();
-  entry->kind = Kind::kCallbackGauge;
-  entry->name = name;
-  entry->help = help;
-  entry->callback_gauge = std::move(fn);
-  entries_.push_back(std::move(entry));
+  Add(name, help, Type::kGauge, "",
+      [fn = std::move(fn)] { return Reading{{{"", fn()}}, {}}; });
 }
 
 void Registry::RegisterCallbackGaugeVec(const std::string& name,
@@ -179,97 +202,105 @@ void Registry::RegisterCallbackGaugeVec(const std::string& name,
                                         const std::string& label_key,
                                         size_t series_count,
                                         std::function<double(size_t)> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (Find(name) != nullptr) return;
-  auto entry = std::make_unique<Entry>();
-  entry->kind = Kind::kCallbackGaugeVec;
-  entry->name = name;
-  entry->help = help;
-  entry->label_key = label_key;
-  entry->series_count = series_count;
-  entry->callback_gauge_vec = std::move(fn);
-  entries_.push_back(std::move(entry));
+  Add(name, help, Type::kGauge, label_key,
+      [series_count, fn = std::move(fn)] {
+        Reading reading;
+        for (size_t i = 0; i < series_count; ++i) {
+          reading.samples.emplace_back(std::to_string(i), fn(i));
+        }
+        return reading;
+      });
 }
 
 void Registry::RegisterCallbackCounterVec(
     const std::string& name, const std::string& help,
     const std::string& label_key,
     std::function<std::vector<std::pair<std::string, uint64_t>>()> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (Find(name) != nullptr) return;
-  auto entry = std::make_unique<Entry>();
-  entry->kind = Kind::kCallbackCounterVec;
-  entry->name = name;
-  entry->help = help;
-  entry->label_key = label_key;
-  entry->callback_counter_vec = std::move(fn);
-  entries_.push_back(std::move(entry));
+  Add(name, help, Type::kCounter, label_key, [fn = std::move(fn)] {
+    Reading reading;
+    for (auto& [label, count] : fn()) {
+      reading.samples.emplace_back(std::move(label), count);
+    }
+    return reading;
+  });
+}
+
+void Registry::RegisterCallbackHistogram(
+    const std::string& name, const std::string& help,
+    std::function<LatencyHistogram::Snapshot()> fn) {
+  Add(name, help, Type::kHistogram, "",
+      [fn = std::move(fn)] { return Reading{{}, fn()}; });
 }
 
 std::string Registry::RenderPrometheus() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   for (const std::unique_ptr<Entry>& entry : entries_) {
-    out += "# HELP " + entry->name + " " + entry->help + "\n";
-    switch (entry->kind) {
-      case Kind::kCounter:
-      case Kind::kCallbackCounter: {
-        uint64_t value = entry->kind == Kind::kCounter
-                             ? entry->counter->value()
-                             : entry->callback_counter();
-        out += "# TYPE " + entry->name + " counter\n";
-        out += entry->name + " " + std::to_string(value) + "\n";
-        break;
+    const std::string& name = entry->name;
+    out += "# HELP " + name + " " + entry->help + "\n";
+    Reading reading = entry->read();
+    if (entry->type == Type::kHistogram) {
+      const LatencyHistogram::Snapshot& snap = reading.histogram;
+      out += "# TYPE " + name + " histogram\n";
+      uint64_t cumulative = 0;
+      for (size_t i = 0; i < snap.bounds.size(); ++i) {
+        cumulative += snap.counts[i];
+        out += name + "_bucket{le=\"" + FormatBound(snap.bounds[i]) +
+               "\"} " + std::to_string(cumulative) + "\n";
       }
-      case Kind::kGauge: {
-        out += "# TYPE " + entry->name + " gauge\n";
-        out += entry->name + " " + std::to_string(entry->gauge->value()) +
-               "\n";
-        break;
+      cumulative += snap.counts.back();
+      out += name + "_bucket{le=\"+Inf\"} " + std::to_string(cumulative) +
+             "\n";
+      out += name + "_sum " + FormatSample(snap.sum) + "\n";
+      out += name + "_count " + std::to_string(snap.count) + "\n";
+      continue;
+    }
+    out += "# TYPE " + name +
+           (entry->type == Type::kCounter ? " counter\n" : " gauge\n");
+    for (const auto& [label, value] : reading.samples) {
+      std::string series = name;
+      if (!entry->label_key.empty()) {
+        series += "{" + entry->label_key + "=\"" + label + "\"}";
       }
-      case Kind::kCallbackGauge: {
-        out += "# TYPE " + entry->name + " gauge\n";
-        out += entry->name + " " + FormatSample(entry->callback_gauge()) +
-               "\n";
-        break;
-      }
-      case Kind::kCallbackGaugeVec: {
-        out += "# TYPE " + entry->name + " gauge\n";
-        for (size_t i = 0; i < entry->series_count; ++i) {
-          out += entry->name + "{" + entry->label_key + "=\"" +
-                 std::to_string(i) + "\"} " +
-                 FormatSample(entry->callback_gauge_vec(i)) + "\n";
-        }
-        break;
-      }
-      case Kind::kCallbackCounterVec: {
-        out += "# TYPE " + entry->name + " counter\n";
-        for (const auto& [label, value] : entry->callback_counter_vec()) {
-          out += entry->name + "{" + entry->label_key + "=\"" + label +
-                 "\"} " + std::to_string(value) + "\n";
-        }
-        break;
-      }
-      case Kind::kHistogram: {
-        out += "# TYPE " + entry->name + " histogram\n";
-        LatencyHistogram::Snapshot snap = entry->histogram->snapshot();
-        uint64_t cumulative = 0;
-        for (size_t i = 0; i < snap.bounds.size(); ++i) {
-          cumulative += snap.counts[i];
-          out += entry->name + "_bucket{le=\"" +
-                 FormatBound(snap.bounds[i]) + "\"} " +
-                 std::to_string(cumulative) + "\n";
-        }
-        cumulative += snap.counts.back();
-        out += entry->name + "_bucket{le=\"+Inf\"} " +
-               std::to_string(cumulative) + "\n";
-        out += entry->name + "_sum " + FormatSample(snap.sum) + "\n";
-        out += entry->name + "_count " + std::to_string(snap.count) + "\n";
-        break;
-      }
+      out += series + " " + FormatSample(value) + "\n";
     }
   }
   return out;
+}
+
+std::string Registry::RenderJson(
+    const std::string& component,
+    const std::function<void(JsonWriter&)>& append) const {
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("component").String(component);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const std::unique_ptr<Entry>& entry : entries_) {
+      json.Key(entry->name);
+      Reading reading = entry->read();
+      if (entry->type == Type::kHistogram) {
+        const LatencyHistogram::Snapshot& snap = reading.histogram;
+        json.BeginObject();
+        json.Key("count").Uint(snap.count);
+        WriteSample(json.Key("sum"), snap.sum);
+        WriteSample(json.Key("p50"), snap.Percentile(0.5));
+        WriteSample(json.Key("p99"), snap.Percentile(0.99));
+        json.EndObject();
+      } else if (entry->label_key.empty()) {
+        WriteSample(json, reading.samples.front().second);
+      } else {
+        json.BeginObject();
+        for (const auto& [label, value] : reading.samples) {
+          WriteSample(json.Key(label), value);
+        }
+        json.EndObject();
+      }
+    }
+  }
+  if (append) append(json);
+  json.EndObject();
+  return json.TakeString();
 }
 
 }  // namespace dynaprox::metrics

@@ -8,15 +8,21 @@
 #include <mutex>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
+
+namespace dynaprox {
+class JsonWriter;
+}
 
 namespace dynaprox::metrics {
 
 // Process-local metric primitives behind a named registry, exported in
-// the Prometheus text exposition format (docs/observability.md). The hot
-// path is lock-free: counters, gauges, and histogram buckets are relaxed
-// atomics — the same pattern the DPC's serving counters already use —
-// so instrumented request paths never take a lock.
+// the Prometheus text exposition format and as the JSON status document
+// (docs/observability.md). The hot path is lock-free: counters and
+// histogram buckets are relaxed atomics, and gauges are sampled from
+// their owners at scrape time, so instrumented request paths never take
+// a lock.
 //
 // This is deliberately distinct from common::Histogram, which keeps every
 // sample (simulation-scale analysis, exact percentiles, not thread-safe).
@@ -34,17 +40,6 @@ class Counter {
 
  private:
   std::atomic<uint64_t> value_{0};
-};
-
-// Instantaneous value that can go up and down.
-class Gauge {
- public:
-  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
 };
 
 // Fixed-bucket histogram. `bounds` are inclusive upper bucket bounds
@@ -93,9 +88,10 @@ class LatencyHistogram {
 // store occupancy, breaker state).
 //
 // Names must follow Prometheus conventions ([a-zA-Z_:][a-zA-Z0-9_:]*);
-// the registry does not validate. Rendering lists metrics in
-// registration order, so exposition output is deterministic (the golden
-// test in tests/common/metrics_test.cc relies on this).
+// the registry does not validate. Both renderers list metrics in
+// registration order, so their output is deterministic (the golden tests
+// in tests/common/metrics_test.cc rely on this), and both read each
+// metric the same way, so the two can never disagree.
 class Registry {
  public:
   Registry() = default;
@@ -103,7 +99,6 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   Counter* GetCounter(const std::string& name, const std::string& help);
-  Gauge* GetGauge(const std::string& name, const std::string& help);
   // Empty `bounds` selects DefaultLatencySecondsBounds().
   LatencyHistogram* GetHistogram(const std::string& name,
                                  const std::string& help,
@@ -134,33 +129,60 @@ class Registry {
       const std::string& label_key,
       std::function<std::vector<std::pair<std::string, uint64_t>>()> fn);
 
+  // A histogram another component keeps, snapshotted at scrape time (e.g.
+  // the upstream pool's blocked-checkout wait).
+  void RegisterCallbackHistogram(
+      const std::string& name, const std::string& help,
+      std::function<LatencyHistogram::Snapshot()> fn);
+
   // Renders every registered metric in the Prometheus text exposition
   // format (version 0.0.4): # HELP / # TYPE lines, then samples;
   // histograms expand to cumulative _bucket{le=...}, _sum, _count.
   std::string RenderPrometheus() const;
 
+  // Renders every registered metric as one JSON object, the status
+  // document: {"component": component, then one key per metric, named
+  // as in the exposition}. A counter or gauge is a number (whole numbers
+  // exact), a labeled family an object keyed by label value, and a
+  // histogram {"count","sum","p50","p99"}. `append`, when set, writes
+  // further keys after the metrics.
+  std::string RenderJson(
+      const std::string& component,
+      const std::function<void(JsonWriter&)>& append = nullptr) const;
+
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kCallbackCounter,
-                    kCallbackGauge, kCallbackGaugeVec,
-                    kCallbackCounterVec };
+  enum class Type { kCounter, kGauge, kHistogram };
+
+  // A metric's state at scrape time: one sample per series (the label
+  // value is empty on an unlabeled one), a count or a gauge value; a
+  // histogram's snapshot instead.
+  struct Reading {
+    std::vector<std::pair<std::string, std::variant<uint64_t, double>>>
+        samples;
+    LatencyHistogram::Snapshot histogram;
+  };
 
   struct Entry {
-    Kind kind;
     std::string name;
     std::string help;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<LatencyHistogram> histogram;
-    std::function<uint64_t()> callback_counter;
-    std::function<double()> callback_gauge;
-    std::string label_key;       // kCallback{Gauge,Counter}Vec only.
-    size_t series_count = 0;     // kCallbackGaugeVec only.
-    std::function<double(size_t)> callback_gauge_vec;
-    std::function<std::vector<std::pair<std::string, uint64_t>>()>
-        callback_counter_vec;
+    Type type = Type::kCounter;
+    std::string label_key;  // Labeled families only.
+    // Reads the metric; every registration kind supplies one, so the
+    // renderers only format.
+    std::function<Reading()> read;
+    std::unique_ptr<Counter> counter;             // GetCounter's handle.
+    std::unique_ptr<LatencyHistogram> histogram;  // GetHistogram's handle.
   };
 
   Entry* Find(const std::string& name);
+  // Appends a metric; requires mu_ and a name not yet registered.
+  Entry* AddLocked(const std::string& name, const std::string& help,
+                   Type type, std::string label_key,
+                   std::function<Reading()> read);
+  // Appends a metric unless its name is taken (the first registration
+  // wins).
+  void Add(const std::string& name, const std::string& help, Type type,
+           std::string label_key, std::function<Reading()> read);
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Entry>> entries_;

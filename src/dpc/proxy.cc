@@ -2,7 +2,6 @@
 
 #include "common/deadline.h"
 #include "common/fault_point.h"
-#include "common/json.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "net/circuit_breaker.h"
@@ -367,6 +366,12 @@ void DpcProxy::RegisterMetrics() {
         "dynaprox_upstream_breaker_window_error_rate",
         "Error rate over the current rolling window.",
         [breaker] { return breaker->stats().window_error_rate; });
+    registry_.RegisterCallbackGauge(
+        "dynaprox_upstream_breaker_window_samples",
+        "Outcomes recorded in the current rolling window.",
+        [breaker] {
+          return static_cast<double>(breaker->stats().window_samples);
+        });
   }
 
   if (options_.ingress != nullptr) {
@@ -446,6 +451,17 @@ void DpcProxy::RegisterMetrics() {
         "dynaprox_upstream_pool_connect_failures_total",
         "Dials that exhausted their retries.",
         [pool] { return pool->stats().connect_failures; });
+    registry_.RegisterCallbackHistogram(
+        "dynaprox_upstream_pool_wait_seconds",
+        "Time blocked waiting for a pool connection, one observation per "
+        "checkout that found the pool saturated.",
+        [pool] {
+          metrics::LatencyHistogram::Snapshot wait =
+              pool->stats().wait_micros;
+          for (double& bound : wait.bounds) bound /= kMicrosPerSecond;
+          wait.sum /= kMicrosPerSecond;
+          return wait;
+        });
   }
 
   if (static_cache_ != nullptr) {
@@ -638,121 +654,10 @@ http::Response DpcProxy::ServeDegraded(const http::Request& request,
       502, "Bad Gateway", "upstream error: " + failure.ToString());
 }
 
-http::Response DpcProxy::RenderStatus() const {
-  ProxyStats snapshot = stats();
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("component").String("dpc");
-  json.Key("requests").Uint(snapshot.requests);
-  json.Key("assembled").Uint(snapshot.assembled);
-  json.Key("passthrough").Uint(snapshot.passthrough);
-  json.Key("recoveries").Uint(snapshot.recoveries);
-  json.Key("upstream_errors").Uint(snapshot.upstream_errors);
-  json.Key("template_errors").Uint(snapshot.template_errors);
-  json.Key("stale_served").Uint(snapshot.stale_served);
-  json.Key("breaker_rejections").Uint(snapshot.breaker_rejections);
-  json.Key("degraded_503s").Uint(snapshot.degraded_503s);
-  json.Key("bytes_from_upstream").Uint(snapshot.bytes_from_upstream);
-  json.Key("bytes_to_clients").Uint(snapshot.bytes_to_clients);
-  json.Key("streamed").Uint(snapshot.streamed);
-  json.Key("stream_aborts").Uint(snapshot.stream_aborts);
-  json.Key("deadline_exceeded").Uint(snapshot.deadline_exceeded);
-  json.Key("store").BeginObject();
-  StoreStats store_stats = store_.stats();
-  json.Key("capacity").Uint(store_.capacity());
-  json.Key("occupied_slots").Uint(store_.occupied_slots());
-  json.Key("content_bytes").Uint(store_.content_bytes());
-  json.Key("bytes").BeginArray();
-  for (size_t shard = 0; shard < FragmentStore::kShards; ++shard) {
-    json.Uint(store_.shard_content_bytes(shard));
-  }
-  json.EndArray();
-  json.Key("sets").Uint(store_stats.sets);
-  json.Key("gets").Uint(store_stats.gets);
-  json.Key("get_misses").Uint(store_stats.get_misses);
-  json.Key("pushes").Uint(store_stats.pushes);
-  json.Key("pushed_slots").Uint(store_.pushed_slots());
-  json.EndObject();
-  if (options_.enable_push || options_.miss_resolver != nullptr) {
-    json.Key("edge").BeginObject();
-    json.Key("peer_fills").Uint(snapshot.peer_fills);
-    json.Key("pushes_applied").Uint(snapshot.pushes_applied);
-    json.Key("peer_serves").Uint(snapshot.peer_serves);
-    json.EndObject();
-  }
-  if (options_.upstream_breaker != nullptr) {
-    net::CircuitBreakerStats breaker = options_.upstream_breaker->stats();
-    json.Key("breaker").BeginObject();
-    json.Key("state").String(std::string(BreakerStateName(breaker.state)));
-    json.Key("rejections").Uint(breaker.rejections);
-    json.Key("opens").Uint(breaker.opens);
-    json.Key("closes").Uint(breaker.closes);
-    json.Key("probes").Uint(breaker.probes);
-    json.Key("window_samples").Int(breaker.window_samples);
-    json.Key("window_error_rate").Double(breaker.window_error_rate);
-    json.EndObject();
-  }
-  if (stale_cache_ != nullptr) {
-    StalePageCacheStats stale_stats = stale_cache_->stats();
-    json.Key("stale_pages").BeginObject();
-    json.Key("entries").Uint(stale_cache_->size());
-    json.Key("remembers").Uint(stale_stats.remembers);
-    json.Key("hits").Uint(stale_stats.hits);
-    json.Key("misses").Uint(stale_stats.misses);
-    json.Key("evictions").Uint(stale_stats.evictions);
-    json.EndObject();
-  }
-  if (options_.upstream_pool != nullptr) {
-    net::PoolStats pool = options_.upstream_pool->stats();
-    json.Key("upstream_pool").BeginObject();
-    json.Key("open_connections").Int(pool.open_connections);
-    json.Key("idle_connections").Int(pool.idle_connections);
-    json.Key("wait_queue_depth").Int(pool.wait_queue_depth);
-    json.Key("checkouts").Uint(pool.checkouts);
-    json.Key("connects").Uint(pool.connects);
-    json.Key("reconnects").Uint(pool.reconnects);
-    json.Key("stale_closed").Uint(pool.stale_closed);
-    json.Key("idle_reaped").Uint(pool.idle_reaped);
-    json.Key("waiter_timeouts").Uint(pool.waiter_timeouts);
-    json.Key("waiter_rejections").Uint(pool.waiter_rejections);
-    json.Key("connect_failures").Uint(pool.connect_failures);
-    json.Key("wait_micros").BeginObject();
-    json.Key("count").Uint(pool.wait_micros.count());
-    json.Key("p50").Double(pool.wait_micros.Percentile(0.5));
-    json.Key("p99").Double(pool.wait_micros.Percentile(0.99));
-    json.Key("max").Double(pool.wait_micros.count() == 0
-                               ? 0.0
-                               : pool.wait_micros.max());
-    json.EndObject();
-    json.EndObject();
-  }
-  if (options_.ingress != nullptr) {
-    net::WriteIngressStatusBlock(json, *options_.ingress);
-  }
-  if (options_.worker_ingress != nullptr &&
-      options_.worker_ingress_count > 0) {
-    net::WriteWorkerIngressStatusBlock(json, options_.worker_ingress,
-                                       options_.worker_ingress_count);
-  }
-  if (static_cache_ != nullptr) {
-    StaticCacheStats static_stats = static_cache_->stats();
-    json.Key("static_cache").BeginObject();
-    json.Key("entries").Uint(static_cache_->size());
-    json.Key("hits").Uint(static_stats.hits);
-    json.Key("misses").Uint(static_stats.misses);
-    json.Key("stores").Uint(static_stats.stores);
-    json.Key("revalidations").Uint(static_stats.revalidations);
-    json.Key("stale_served").Uint(static_stats.stale_served);
-    json.Key("evictions").Uint(static_stats.evictions);
-    json.EndObject();
-  }
-  json.EndObject();
-  return http::Response::MakeOk(json.TakeString(), "application/json");
-}
-
 http::Response DpcProxy::Handle(const http::Request& request) {
   if (options_.enable_status && request.Path() == options_.status_path) {
-    return RenderStatus();
+    return http::Response::MakeOk(registry_.RenderJson("dpc"),
+                                  "application/json");
   }
   if (options_.enable_metrics && request.Path() == options_.metrics_path) {
     return http::Response::MakeOk(registry_.RenderPrometheus(),

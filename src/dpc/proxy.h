@@ -91,8 +91,9 @@ struct ProxyOptions {
   // (edge tier, nested proxy hop), the earlier of the two applies.
   // 0 = unlimited.
   MicroTime request_budget_micros = 0;
-  // Serve a JSON status document (proxy counters, store occupancy) at
-  // status_path instead of forwarding it upstream.
+  // Serve the metrics registry as a JSON status document
+  // (docs/observability.md) at status_path instead of forwarding it
+  // upstream.
   bool enable_status = false;
   std::string status_path = "/_dynaprox/status";
   // Serve the Prometheus text exposition (docs/observability.md) at
@@ -105,24 +106,22 @@ struct ProxyOptions {
   // Time source for latency histograms and log timestamps; defaults to
   // SystemClock. Not owned; must outlive the proxy when set.
   const Clock* clock = nullptr;
-  // When the upstream transport is pooled, exposes the pool's gauges in
-  // the status document and metric exposition
-  // (docs/upstream-pooling.md). Not owned; may be null; must outlive the
-  // proxy when set.
+  // When the upstream transport is pooled, exposes the pool's metrics
+  // (docs/upstream-pooling.md)
+  // Not owned; may be null; must outlive the proxy when set.
   const net::ConnectionPool* upstream_pool = nullptr;
   // When the origin link is guarded by a net::CircuitBreakerTransport,
-  // exposes the breaker's state in the status document and metric
-  // exposition. Not owned; may be null; must outlive the proxy when set.
+  // exposes the breaker's state and counters as metrics. Not owned; may
+  // be null; must outlive the proxy when set.
   const net::CircuitBreaker* upstream_breaker = nullptr;
   // When the hosting server enforces net::ServerLimits, exposes its
-  // ingress gauges/violation counters in the status document and metric
-  // exposition. Not owned; may be null; must outlive the proxy when set.
+  // ingress gauges/violation counters as metrics. Not owned; may be null;
+  // must outlive the proxy when set.
   const net::IngressCounters* ingress = nullptr;
   // Per-worker ingress mirrors of a multi-worker server (EpollServer with
   // workers > 1): exposes the labeled dynaprox_ingress_worker_*{worker=N}
-  // series and the status document's "workers" array. The slots sum to
-  // the `ingress` totals by construction. Not owned; may be null; must
-  // outlive the proxy when set.
+  // series. The slots sum to the `ingress` totals by construction. Not
+  // owned; may be null; must outlive the proxy when set.
   const net::IngressCounters* worker_ingress = nullptr;
   int worker_ingress_count = 0;
   // Standard intermediary behaviour: strip hop-by-hop request headers
@@ -320,7 +319,6 @@ class DpcProxy {
   // Stale copy of `url` from the page cache or the static cache, marked
   // with Warning/Age; accounts stale_served and client bytes.
   std::optional<http::Response> LookupAnyStale(const std::string& url);
-  http::Response RenderStatus() const;
   // Control-channel endpoints (ProxyOptions::enable_push).
   http::Response HandlePush(const http::Request& request);
   http::Response HandleFragment(const http::Request& request);

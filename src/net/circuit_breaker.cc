@@ -6,18 +6,6 @@
 
 namespace dynaprox::net {
 
-std::string_view BreakerStateName(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
-}
-
 namespace {
 
 Status Rejection() {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -38,9 +37,6 @@ struct CircuitBreakerOptions {
 };
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
-
-// "closed" / "open" / "half-open", for logs and the /status document.
-std::string_view BreakerStateName(BreakerState state);
 
 struct CircuitBreakerStats {
   BreakerState state = BreakerState::kClosed;

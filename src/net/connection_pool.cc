@@ -17,6 +17,13 @@
 namespace dynaprox::net {
 namespace {
 
+std::vector<double> WaitMicrosBounds() {
+  std::vector<double> bounds =
+      metrics::LatencyHistogram::DefaultLatencySecondsBounds();
+  for (double& bound : bounds) bound *= kMicrosPerSecond;
+  return bounds;
+}
+
 // True if the idle keep-alive connection is still usable: the peek sees
 // no EOF and no unsolicited bytes (either would leave the HTTP framing
 // state unknown).
@@ -55,7 +62,8 @@ ConnectionPool::ConnectionPool(std::string host, uint16_t port,
       port_(port),
       options_(options),
       clock_(options.clock != nullptr ? options.clock
-                                      : SystemClock::Default()) {}
+                                      : SystemClock::Default()),
+      wait_micros_(WaitMicrosBounds()) {}
 
 ConnectionPool::~ConnectionPool() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -124,7 +132,7 @@ Result<ConnectionPool::Connection> ConnectionPool::Checkout() {
     if (queued) --waiters_;
     ++counters_.checkouts;
     if (waited) {
-      counters_.wait_micros.Record(
+      wait_micros_.Observe(
           static_cast<double>(clock_->NowMicros() - wait_start));
     }
     return conn;
@@ -173,7 +181,7 @@ Result<ConnectionPool::Connection> ConnectionPool::Checkout() {
     if (available_.wait_until(lock, deadline) == std::cv_status::timeout) {
       --waiters_;
       ++counters_.waiter_timeouts;
-      counters_.wait_micros.Record(
+      wait_micros_.Observe(
           static_cast<double>(clock_->NowMicros() - wait_start));
       return Status::IoError("timed out waiting for an upstream connection");
     }
@@ -198,11 +206,15 @@ void ConnectionPool::Checkin(Connection conn, bool reusable) {
 }
 
 PoolStats ConnectionPool::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  PoolStats snapshot = counters_;
-  snapshot.open_connections = open_;
-  snapshot.idle_connections = static_cast<int>(idle_.size());
-  snapshot.wait_queue_depth = waiters_;
+  PoolStats snapshot;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    snapshot = counters_;
+    snapshot.open_connections = open_;
+    snapshot.idle_connections = static_cast<int>(idle_.size());
+    snapshot.wait_queue_depth = waiters_;
+  }
+  snapshot.wait_micros = wait_micros_.snapshot();  // Lock-free.
   return snapshot;
 }
 

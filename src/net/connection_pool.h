@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/histogram.h"
+#include "common/metrics.h"
 #include "common/result.h"
 #include "net/retry.h"
 #include "net/transport.h"
@@ -53,7 +53,10 @@ struct PoolStats {
   uint64_t waiter_timeouts = 0;    // Checkouts that gave up waiting.
   uint64_t waiter_rejections = 0;  // Rejected by the waiter bound.
   uint64_t connect_failures = 0;   // Dials that exhausted their retries.
-  Histogram wait_micros;  // Wait duration of checkouts that blocked.
+  // Wait of the checkouts that blocked, in microseconds, in fixed buckets
+  // (the default seconds layout x 10^6): bounded however long the pool
+  // runs saturated.
+  metrics::LatencyHistogram::Snapshot wait_micros;
 };
 
 // Keep-alive connection pool to one upstream host:port. Checkout() hands
@@ -116,7 +119,8 @@ class ConnectionPool {
   std::vector<IdleConn> idle_;
   int open_ = 0;     // Checked out + idle + mid-dial slots.
   int waiters_ = 0;  // Checkouts blocked in the wait queue.
-  PoolStats counters_;  // Gauge fields unused here; see stats().
+  PoolStats counters_;  // Gauge fields and wait_micros unused; see stats().
+  metrics::LatencyHistogram wait_micros_;
 };
 
 struct PooledTransportOptions {

@@ -1,6 +1,5 @@
 #include "net/server_limits.h"
 
-#include "common/json.h"
 #include "common/metrics.h"
 
 namespace dynaprox::net {
@@ -122,42 +121,6 @@ void RegisterIngressMetrics(metrics::Registry& registry,
           &counters->accept_fd_exhaustion_episodes);
 }
 
-namespace {
-
-// The ingress field set as one object body, shared by the top-level
-// "ingress" block and each element of the "workers" array.
-void WriteIngressFields(JsonWriter& json, const IngressCounters& counters) {
-  auto load64 = [](const std::atomic<uint64_t>& v) {
-    return v.load(std::memory_order_relaxed);
-  };
-  json.Key("open_connections")
-      .Int(counters.open_connections.load(std::memory_order_relaxed));
-  json.Key("inflight_requests")
-      .Int(counters.inflight_requests.load(std::memory_order_relaxed));
-  json.Key("accepted").Uint(load64(counters.accepted_total));
-  json.Key("connection_limit_rejections")
-      .Uint(load64(counters.connection_limit_rejections));
-  json.Key("shed_503s").Uint(load64(counters.shed_503s));
-  json.Key("header_timeouts").Uint(load64(counters.header_timeouts));
-  json.Key("idle_timeouts").Uint(load64(counters.idle_timeouts));
-  json.Key("write_stall_closes").Uint(load64(counters.write_stall_closes));
-  json.Key("oversize_headers").Uint(load64(counters.oversize_headers));
-  json.Key("oversize_bodies").Uint(load64(counters.oversize_bodies));
-  json.Key("drained_connections")
-      .Uint(load64(counters.drained_connections));
-  json.Key("accept_fd_exhaustion_episodes")
-      .Uint(load64(counters.accept_fd_exhaustion_episodes));
-}
-
-}  // namespace
-
-void WriteIngressStatusBlock(JsonWriter& json,
-                             const IngressCounters& counters) {
-  json.Key("ingress").BeginObject();
-  WriteIngressFields(json, counters);
-  json.EndObject();
-}
-
 void RegisterWorkerIngressMetrics(metrics::Registry& registry,
                                   const std::string& prefix,
                                   const IngressCounters* workers,
@@ -219,19 +182,6 @@ void RegisterWorkerIngressMetrics(metrics::Registry& registry,
   counter("drained_connections_total",
           "Connections completed during graceful drain, by worker.",
           &IngressCounters::drained_connections);
-}
-
-void WriteWorkerIngressStatusBlock(JsonWriter& json,
-                                   const IngressCounters* workers,
-                                   int count) {
-  json.Key("workers").BeginArray();
-  for (int i = 0; i < count; ++i) {
-    json.BeginObject();
-    json.Key("worker").Int(i);
-    WriteIngressFields(json, workers[i]);
-    json.EndObject();
-  }
-  json.EndArray();
 }
 
 }  // namespace dynaprox::net

@@ -12,9 +12,6 @@
 namespace dynaprox::metrics {
 class Registry;
 }
-namespace dynaprox {
-class JsonWriter;
-}
 
 namespace dynaprox::net {
 
@@ -123,11 +120,6 @@ void RegisterIngressMetrics(metrics::Registry& registry,
                             const std::string& prefix,
                             const IngressCounters* counters);
 
-// Writes the "ingress" status-document block (gauges + violation
-// counters); the caller owns the enclosing object.
-void WriteIngressStatusBlock(JsonWriter& json,
-                             const IngressCounters& counters);
-
 // Registers per-worker mirrors (see ServerLimits::worker_counters) as
 // labeled series "<prefix>ingress_worker_*{worker=\"i\"}" — one series
 // per slot under each family, sampled at scrape time. The slot values
@@ -136,12 +128,6 @@ void WriteIngressStatusBlock(JsonWriter& json,
 void RegisterWorkerIngressMetrics(metrics::Registry& registry,
                                   const std::string& prefix,
                                   const IngressCounters* workers, int count);
-
-// Writes the "workers" status-document array: one ingress object per
-// worker slot, in worker order; the caller owns the enclosing object.
-void WriteWorkerIngressStatusBlock(JsonWriter& json,
-                                   const IngressCounters* workers,
-                                   int count);
 
 }  // namespace dynaprox::net
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include "common/json.h"
 
 namespace dynaprox::metrics {
 namespace {
@@ -14,13 +18,6 @@ TEST(CounterTest, StartsAtZeroAndAccumulates) {
   c.Increment();
   c.Increment(41);
   EXPECT_EQ(c.value(), 42u);
-}
-
-TEST(GaugeTest, SetAndAdd) {
-  Gauge g;
-  g.Set(10);
-  g.Add(-3);
-  EXPECT_EQ(g.value(), 7);
 }
 
 TEST(LatencyHistogramTest, BoundsAreInclusiveUpperBounds) {
@@ -138,7 +135,6 @@ TEST(RegistryTest, RenderPrometheusGolden) {
   Registry registry;
   Counter* requests =
       registry.GetCounter("demo_requests_total", "Requests handled.");
-  Gauge* depth = registry.GetGauge("demo_queue_depth", "Queued requests.");
   LatencyHistogram* latency = registry.GetHistogram(
       "demo_request_duration_seconds", "Handling latency.",
       {0.0025, 0.01, 0.25});
@@ -148,7 +144,6 @@ TEST(RegistryTest, RenderPrometheusGolden) {
                                  [] { return 0.25; });
 
   requests->Increment(3);
-  depth->Set(2);
   latency->Observe(0.001);   // le="0.0025".
   latency->Observe(0.0025);  // le="0.0025" (inclusive).
   latency->Observe(0.02);    // le="0.25".
@@ -158,9 +153,6 @@ TEST(RegistryTest, RenderPrometheusGolden) {
             "# HELP demo_requests_total Requests handled.\n"
             "# TYPE demo_requests_total counter\n"
             "demo_requests_total 3\n"
-            "# HELP demo_queue_depth Queued requests.\n"
-            "# TYPE demo_queue_depth gauge\n"
-            "demo_queue_depth 2\n"
             "# HELP demo_request_duration_seconds Handling latency.\n"
             "# TYPE demo_request_duration_seconds histogram\n"
             "demo_request_duration_seconds_bucket{le=\"0.0025\"} 2\n"
@@ -175,6 +167,70 @@ TEST(RegistryTest, RenderPrometheusGolden) {
             "# HELP demo_error_rate Rolling error rate.\n"
             "# TYPE demo_error_rate gauge\n"
             "demo_error_rate 0.25\n");
+}
+
+// Golden test for the status document: one metric of each kind, whole
+// and fractional samples. Keys are the exposition's metric names, in
+// registration order. If it changes, docs/observability.md's status
+// section needs the same change.
+TEST(RegistryTest, RenderJsonGolden) {
+  Registry registry;
+  registry.GetCounter("demo_requests_total", "Requests handled.")
+      ->Increment(3);
+  LatencyHistogram* latency = registry.GetHistogram(
+      "demo_request_duration_seconds", "Handling latency.",
+      {0.0025, 0.01, 0.25});
+  latency->Observe(0.001);  // le="0.0025".
+  latency->Observe(0.02);   // le="0.25".
+  registry.RegisterCallbackCounter("demo_evictions_total",
+                                   "Entries evicted.", [] { return 7u; });
+  registry.RegisterCallbackGauge("demo_error_rate", "Rolling error rate.",
+                                 [] { return 0.25; });
+  // 4 MiB: exact, where %.6g would print 4.1943e+06.
+  registry.RegisterCallbackGauge("demo_content_bytes", "Bytes stored.",
+                                 [] { return 4194304.0; });
+  registry.RegisterCallbackGaugeVec(
+      "demo_shard_bytes", "Bytes per shard.", "shard", 2,
+      [](size_t shard) { return shard == 0 ? 1.5 : 2.0; });
+  registry.RegisterCallbackCounterVec(
+      "demo_faults_total", "Faults by point.", "point", [] {
+        return std::vector<std::pair<std::string, uint64_t>>{
+            {"net.read", 2}, {"dpc.upstream", 0}};
+      });
+  registry.RegisterCallbackHistogram("demo_wait_seconds", "Wait.", [] {
+    LatencyHistogram wait({1.0, 2.0});
+    wait.Observe(1.5);  // le="2".
+    wait.Observe(3.0);  // +Inf.
+    return wait.snapshot();
+  });
+
+  EXPECT_EQ(registry.RenderJson("demo",
+                                [](JsonWriter& json) {
+                                  json.Key("extra").Bool(true);
+                                }),
+            "{\"component\":\"demo\",\"demo_requests_total\":3,"
+            "\"demo_request_duration_seconds\":{\"count\":2,"
+            "\"sum\":0.021,\"p50\":0.0025,\"p99\":0.25},"
+            "\"demo_evictions_total\":7,\"demo_error_rate\":0.25,"
+            "\"demo_content_bytes\":4194304,"
+            "\"demo_shard_bytes\":{\"0\":1.5,\"1\":2},"
+            "\"demo_faults_total\":{\"net.read\":2,\"dpc.upstream\":0},"
+            "\"demo_wait_seconds\":{\"count\":2,\"sum\":4.5,\"p50\":2,"
+            "\"p99\":2},"
+            "\"extra\":true}");
+}
+
+TEST(RegistryTest, CallbackHistogramRendersLikeAnOwnedOne) {
+  Registry owned;
+  LatencyHistogram* wait =
+      owned.GetHistogram("wait_seconds", "Wait.", {1.0, 2.0});
+  wait->Observe(0.5);
+  wait->Observe(3.0);
+  Registry bridged;
+  bridged.RegisterCallbackHistogram("wait_seconds", "Wait.",
+                                    [wait] { return wait->snapshot(); });
+  EXPECT_EQ(bridged.RenderPrometheus(), owned.RenderPrometheus());
+  EXPECT_EQ(bridged.RenderJson("x"), owned.RenderJson("x"));
 }
 
 TEST(RegistryTest, RenderWholeNumberSamplesHaveNoExponent) {

@@ -239,11 +239,14 @@ TEST_F(ProxyResilienceTest, StatusExposesDegradationCounters) {
   proxy.Handle(Get("/unseen"));     // degraded_503.
   http::Response status = proxy.Handle(Get("/_dynaprox/status"));
   ASSERT_EQ(status.status_code, 200);
-  EXPECT_NE(status.body.find("\"stale_served\":1"), std::string::npos);
-  EXPECT_NE(status.body.find("\"degraded_503s\":1"), std::string::npos);
-  EXPECT_NE(status.body.find("\"breaker_rejections\":0"),
+  EXPECT_NE(status.body.find("\"dynaprox_stale_served_total\":1"),
             std::string::npos);
-  EXPECT_NE(status.body.find("\"stale_pages\":{"), std::string::npos);
+  EXPECT_NE(status.body.find("\"dynaprox_degraded_503s_total\":1"),
+            std::string::npos);
+  EXPECT_NE(status.body.find("\"dynaprox_breaker_rejections_total\":0"),
+            std::string::npos);
+  EXPECT_NE(status.body.find("\"dynaprox_stale_pages_entries\":"),
+            std::string::npos);
 }
 
 TEST_F(ProxyResilienceTest, ClearCacheDropsStalePages) {

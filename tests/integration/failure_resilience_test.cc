@@ -141,11 +141,12 @@ TEST_F(FailureResilienceTest, BreakerStopsDialAttemptsDuringOutage) {
   // /status surfaces the degradation for operators.
   http::Response status = proxy_->Handle(Get("/_dynaprox/status"));
   ASSERT_EQ(status.status_code, 200);
-  EXPECT_NE(status.body.find("\"breaker\":{"), std::string::npos);
-  EXPECT_NE(status.body.find("\"state\":\"open\""), std::string::npos);
-  EXPECT_NE(status.body.find("\"breaker_rejections\":"),
+  // Breaker state 1 is open (0 closed, 2 half-open).
+  EXPECT_NE(status.body.find("\"dynaprox_upstream_breaker_state\":1,"),
             std::string::npos);
-  EXPECT_EQ(status.body.find("\"breaker_rejections\":0"),
+  EXPECT_NE(status.body.find("\"dynaprox_breaker_rejections_total\":"),
+            std::string::npos);
+  EXPECT_EQ(status.body.find("\"dynaprox_breaker_rejections_total\":0"),
             std::string::npos);
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+#include <thread>
+
 #include "appserver/origin_server.h"
 #include "appserver/script_registry.h"
 #include "bem/monitor.h"
@@ -68,13 +72,16 @@ TEST_F(StatusEndpointTest, OriginStatusReportsCounters) {
   EXPECT_EQ(*status.headers.Get("Content-Type"), "application/json");
   EXPECT_NE(status.body.find("\"component\":\"origin\""),
             std::string::npos);
-  EXPECT_NE(status.body.find("\"requests\":2"), std::string::npos);
-  EXPECT_NE(status.body.find("\"caching_enabled\":true"),
+  EXPECT_NE(status.body.find("\"dynaprox_origin_requests_total\":2"),
             std::string::npos);
-  // Directory block present with one miss + one hit, and the cached
-  // fragment listed in the sample.
-  EXPECT_NE(status.body.find("\"directory\":{"), std::string::npos);
-  EXPECT_NE(status.body.find("\"hit_ratio\":0.5"), std::string::npos);
+  // Caching is on: the directory's series are present, with one miss and
+  // one hit, and the cached fragment listed in the sample.
+  EXPECT_NE(status.body.find("\"dynaprox_bem_directory_capacity\":8"),
+            std::string::npos);
+  EXPECT_NE(status.body.find("\"dynaprox_bem_directory_hits_total\":1"),
+            std::string::npos);
+  EXPECT_NE(status.body.find("\"dynaprox_bem_directory_misses_total\":1"),
+            std::string::npos);
   EXPECT_NE(status.body.find("\"sample_entries\":[{\"fragment\":\"f\""),
             std::string::npos);
 }
@@ -82,7 +89,8 @@ TEST_F(StatusEndpointTest, OriginStatusReportsCounters) {
 TEST_F(StatusEndpointTest, StatusRequestsNotCountedAsTraffic) {
   origin_->Handle(Get("/_dynaprox/status"));
   http::Response status = origin_->Handle(Get("/_dynaprox/status"));
-  EXPECT_NE(status.body.find("\"requests\":0"), std::string::npos);
+  EXPECT_NE(status.body.find("\"dynaprox_origin_requests_total\":0"),
+            std::string::npos);
 }
 
 TEST_F(StatusEndpointTest, ProxyStatusServedLocally) {
@@ -90,10 +98,14 @@ TEST_F(StatusEndpointTest, ProxyStatusServedLocally) {
   http::Response status = proxy_->Handle(Get("/_dynaprox/status"));
   ASSERT_EQ(status.status_code, 200);
   EXPECT_NE(status.body.find("\"component\":\"dpc\""), std::string::npos);
-  EXPECT_NE(status.body.find("\"assembled\":1"), std::string::npos);
-  EXPECT_NE(status.body.find("\"store\":{"), std::string::npos);
-  EXPECT_NE(status.body.find("\"occupied_slots\":1"), std::string::npos);
-  EXPECT_NE(status.body.find("\"static_cache\":{"), std::string::npos);
+  EXPECT_NE(status.body.find("\"dynaprox_assembled_total\":1"),
+            std::string::npos);
+  EXPECT_NE(status.body.find("\"dynaprox_store_capacity\":8"),
+            std::string::npos);
+  EXPECT_NE(status.body.find("\"dynaprox_store_occupied_slots\":1"),
+            std::string::npos);
+  EXPECT_NE(status.body.find("\"dynaprox_static_cache_entries\":"),
+            std::string::npos);
   // The proxy answered locally: only /page reached the origin.
   EXPECT_EQ(origin_->stats().requests, 1u);
 }
@@ -113,12 +125,51 @@ TEST_F(StatusEndpointTest, ProxyStatusExposesUpstreamPoolGauges) {
   proxy.Handle(Get("/page"));
   http::Response status = proxy.Handle(Get("/_dynaprox/status"));
   ASSERT_EQ(status.status_code, 200);
-  EXPECT_NE(status.body.find("\"upstream_pool\":{"), std::string::npos);
-  EXPECT_NE(status.body.find("\"open_connections\":1"), std::string::npos);
-  EXPECT_NE(status.body.find("\"checkouts\":1"), std::string::npos);
-  EXPECT_NE(status.body.find("\"reconnects\":0"), std::string::npos);
-  EXPECT_NE(status.body.find("\"wait_queue_depth\":0"), std::string::npos);
-  EXPECT_NE(status.body.find("\"wait_micros\":{"), std::string::npos);
+  for (const char* field : {
+           "\"dynaprox_upstream_pool_open_connections\":1",
+           "\"dynaprox_upstream_pool_checkouts_total\":1",
+           "\"dynaprox_upstream_pool_reconnects_total\":0",
+           "\"dynaprox_upstream_pool_wait_queue_depth\":0",
+           "\"dynaprox_upstream_pool_wait_seconds\":{\"count\":0,"}) {
+    EXPECT_NE(status.body.find(field), std::string::npos) << field;
+  }
+  origin_server.Stop();
+}
+
+// The pool records its blocked-checkout wait in microseconds; the proxy
+// exports it as a histogram in seconds.
+TEST_F(StatusEndpointTest, ProxyStatusReportsPoolWaitInSeconds) {
+  net::TcpServer origin_server(
+      [](const http::Request&) { return http::Response::MakeOk("hi"); });
+  ASSERT_TRUE(origin_server.Start().ok());
+  net::PooledTransportOptions pool_options;
+  pool_options.pool.max_connections = 1;
+  net::PooledClientTransport upstream("127.0.0.1", origin_server.port(),
+                                      pool_options);
+  dpc::ProxyOptions options;
+  options.capacity = 8;
+  options.enable_status = true;
+  options.upstream_pool = &upstream.pool();
+  dpc::DpcProxy proxy(&upstream, options);
+
+  // Hold the only connection for 30 ms, so the proxy's checkout blocks.
+  Result<net::ConnectionPool::Connection> held = upstream.pool().Checkout();
+  ASSERT_TRUE(held.ok());
+  std::thread releaser([&upstream, &held] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    upstream.pool().Checkin(*held, /*reusable=*/true);
+  });
+  EXPECT_EQ(proxy.Handle(Get("/page")).status_code, 200);
+  releaser.join();
+
+  std::string body = proxy.Handle(Get("/_dynaprox/status")).body;
+  const std::string key =
+      "\"dynaprox_upstream_pool_wait_seconds\":{\"count\":1,\"sum\":";
+  size_t at = body.find(key);
+  ASSERT_NE(at, std::string::npos) << body;
+  double sum = std::stod(body.substr(at + key.size()));
+  EXPECT_GE(sum, 0.025);
+  EXPECT_LT(sum, 5.0);  // Seconds, not microseconds.
   origin_server.Stop();
 }
 

@@ -15,6 +15,11 @@ Checks, over README.md, DESIGN.md, ROADMAP.md, and docs/*.md:
    `dynaprox_<component>_ingress_...`) are matched by progressively
    stripping leading segments until the literal tail is found. Mentions
    ending in `_` (prefix families like `dynaprox_edge_*`) are skipped.
+4. The other direction: every `"dynaprox_..."` string literal in src/ or
+   tools/ (a metric name some tier registers) is documented in
+   docs/observability.md, whose metric tables are the schema of both
+   `/_dynaprox/metrics` and `/_dynaprox/status`. Prefixes (literals
+   ending in `_`) and the tool binary names are skipped.
 
 Run from anywhere: paths are resolved relative to the repo root (the
 parent of this script's directory). Exits non-zero listing every
@@ -51,6 +56,8 @@ FLAG_RE = re.compile(r"--([a-z][a-z0-9-]*)")
 # Flags::GetInt("name", ...) / GetDouble / GetBool / GetString.
 FLAG_DEF_RE = re.compile(r'Get(?:Int|Double|Bool|String)\("([a-z0-9-]+)"')
 METRIC_RE = re.compile(r"\bdynaprox_[a-z0-9_]+")
+METRIC_LITERAL_RE = re.compile(r'"(dynaprox_[a-z0-9_]+)"')
+METRICS_DOC = REPO_ROOT / "docs" / "observability.md"
 CODE_FENCE_RE = re.compile(r"^(```|~~~)")
 
 # The three shipped binaries share the metric name prefix; they are not
@@ -74,6 +81,15 @@ def source_corpus() -> str:
             for source in sorted((REPO_ROOT / directory).glob(pattern)):
                 chunks.append(source.read_text())
     return "\n".join(chunks)
+
+
+def undocumented_metrics(corpus: str) -> list:
+    """Metric-name literals in the sources that observability.md lacks."""
+    documented = set(METRIC_RE.findall(METRICS_DOC.read_text()))
+    registered = set(METRIC_LITERAL_RE.findall(corpus))
+    return sorted(name for name in registered - documented
+                  if not name.endswith("_")
+                  and name not in TOOL_BINARY_NAMES)
 
 
 def metric_in_sources(name: str, corpus: str) -> bool:
@@ -145,6 +161,10 @@ def main() -> int:
             continue
         checked += 1
         errors.extend(check_file(doc, tool_flags, corpus))
+    for name in undocumented_metrics(corpus):
+        errors.append(f"metric '{name}' is registered in src/ or tools/ "
+                      f"but not documented in "
+                      f"{METRICS_DOC.relative_to(REPO_ROOT)}")
 
     if errors:
         for error in errors:

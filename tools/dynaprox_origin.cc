@@ -43,8 +43,8 @@
 // --block-queue bounds the pool's task queue; overflow degrades to
 // inline (caller-runs) execution. See docs/threading-model.md.
 //
-// A JSON status document is served at /_dynaprox/status and (unless
-// --metrics=false) the Prometheus text exposition at /_dynaprox/metrics.
+// The metrics registry is served as JSON at /_dynaprox/status and (unless
+// --metrics=false) as the Prometheus text exposition at /_dynaprox/metrics.
 // --access-log=PATH appends one JSON line per request ("-" = stderr);
 // lines carry the X-DPC-Request-Id the proxy forwarded, so they join the
 // DPC's lines (docs/observability.md).

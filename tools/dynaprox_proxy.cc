@@ -46,8 +46,7 @@
 // --server=epoll and --workers > 1 the DPC runs N event-loop workers,
 // each with its own SO_REUSEPORT listener when the kernel supports it
 // (docs/threading-model.md); per-worker ingress counters appear as
-// dynaprox_ingress_worker_*{worker=N} series and a "workers" status
-// array (docs/observability.md).
+// dynaprox_ingress_worker_*{worker=N} series (docs/observability.md).
 //
 // The ingress limits (docs/failure-modes.md) all default to 0 = off:
 // --max-connections caps concurrent client connections, --max-inflight
@@ -59,8 +58,8 @@
 // accepting stops and in-flight requests finish before the listener
 // closes.
 //
-// A JSON status document is served at /_dynaprox/status and (unless
-// --metrics=false) the Prometheus text exposition at /_dynaprox/metrics.
+// The metrics registry is served as JSON at /_dynaprox/status and (unless
+// --metrics=false) as the Prometheus text exposition at /_dynaprox/metrics.
 // --access-log=PATH appends one JSON line per proxied request ("-" =
 // stderr); see docs/observability.md for the field reference.
 //
