@@ -318,8 +318,8 @@ std::vector<CacheDirectory::EntryView> CacheDirectory::SnapshotEntries(
                      now - entry.inserted_at, entry.ttl_micros});
     }
   }
-  // Stripe iteration interleaves canonical order; restore it so snapshots
-  // stay deterministic for tests and status pages.
+  // Stripes iterate in hash order; sort so snapshots stay deterministic
+  // for tests and status pages.
   std::sort(out.begin(), out.end(),
             [](const EntryView& a, const EntryView& b) {
               return a.fragment_id < b.fragment_id;

@@ -4,9 +4,9 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bem/dependency_registry.h"
@@ -183,7 +183,7 @@ class CacheDirectory {
 
   struct Stripe {
     mutable common::ContendedMutex mu;
-    std::map<std::string, Entry> entries;  // Guarded by mu.
+    std::unordered_map<std::string, Entry> entries;  // Guarded by mu.
   };
 
   Stripe& StripeFor(const std::string& canonical) const {

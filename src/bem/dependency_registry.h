@@ -1,9 +1,9 @@
 #ifndef DYNAPROX_BEM_DEPENDENCY_REGISTRY_H_
 #define DYNAPROX_BEM_DEPENDENCY_REGISTRY_H_
 
-#include <map>
-#include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -57,18 +57,17 @@ class DependencyRegistry {
   struct Dep {
     std::string table;
     std::string row_key;  // Empty: whole table.
-    bool operator<(const Dep& other) const {
-      if (table != other.table) return table < other.table;
-      return row_key < other.row_key;
-    }
   };
 
   mutable common::ContendedMutex mu_;
   // (table, row_key) -> fragments; row_key "" holds table-level deps.
-  // Both maps guarded by mu_.
-  std::map<std::string, std::map<std::string, std::set<std::string>>>
+  // Both maps guarded by mu_. A fragment's Dep is recorded only when
+  // by_source_ gains the fragment, so each list holds no duplicates.
+  std::unordered_map<
+      std::string,
+      std::unordered_map<std::string, std::unordered_set<std::string>>>
       by_source_;
-  std::map<std::string, std::set<Dep>> by_fragment_;
+  std::unordered_map<std::string, std::vector<Dep>> by_fragment_;
 };
 
 }  // namespace dynaprox::bem

@@ -4,9 +4,12 @@ namespace dynaprox::bem {
 
 void LruPolicy::Touch(const std::string& fragment_id) {
   auto it = index_.find(fragment_id);
-  if (it != index_.end()) order_.erase(it->second);
+  if (it != index_.end()) {
+    order_.splice(order_.begin(), order_, it->second);
+    return;
+  }
   order_.push_front(fragment_id);
-  index_[fragment_id] = order_.begin();
+  index_.emplace(fragment_id, order_.begin());
 }
 
 void LruPolicy::OnInsert(const std::string& fragment_id) {
@@ -34,7 +37,7 @@ Result<std::string> LruPolicy::PickVictim() {
 void FifoPolicy::OnInsert(const std::string& fragment_id) {
   if (index_.find(fragment_id) != index_.end()) return;  // Re-insert: keep age.
   order_.push_back(fragment_id);
-  index_[fragment_id] = std::prev(order_.end());
+  index_.emplace(fragment_id, std::prev(order_.end()));
 }
 
 void FifoPolicy::OnRemove(const std::string& fragment_id) {
@@ -57,7 +60,7 @@ void ClockPolicy::OnInsert(const std::string& fragment_id) {
     ring_[it->second].referenced = true;
     return;
   }
-  index_[fragment_id] = ring_.size();
+  index_.emplace(fragment_id, ring_.size());
   ring_.push_back({fragment_id, true});
 }
 

@@ -2,9 +2,9 @@
 #define DYNAPROX_BEM_REPLACEMENT_H_
 
 #include <list>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -33,6 +33,7 @@ class ReplacementPolicy {
 };
 
 // Least-recently-used: evicts the entry whose last insert/access is oldest.
+// A hit splices the entry's list node to the front: no allocation.
 class LruPolicy : public ReplacementPolicy {
  public:
   void OnInsert(const std::string& fragment_id) override;
@@ -45,7 +46,7 @@ class LruPolicy : public ReplacementPolicy {
   void Touch(const std::string& fragment_id);
 
   std::list<std::string> order_;  // Front = most recent.
-  std::map<std::string, std::list<std::string>::iterator> index_;
+  std::unordered_map<std::string, std::list<std::string>::iterator> index_;
 };
 
 // First-in-first-out: evicts the oldest inserted entry; accesses are
@@ -60,7 +61,7 @@ class FifoPolicy : public ReplacementPolicy {
 
  private:
   std::list<std::string> order_;  // Front = oldest.
-  std::map<std::string, std::list<std::string>::iterator> index_;
+  std::unordered_map<std::string, std::list<std::string>::iterator> index_;
 };
 
 // CLOCK (second-chance): approximates LRU with one reference bit per entry
@@ -79,7 +80,7 @@ class ClockPolicy : public ReplacementPolicy {
     bool referenced;
   };
   std::vector<Entry> ring_;
-  std::map<std::string, size_t> index_;  // fragment_id -> ring slot.
+  std::unordered_map<std::string, size_t> index_;  // id -> ring slot.
   size_t hand_ = 0;
 };
 

@@ -1,18 +1,27 @@
 #include "bem/tag_codec.h"
 
+#include <cstring>
+
 #include "common/strings.h"
 
 namespace dynaprox::bem {
 
+namespace {
+constexpr std::string_view kLiteralStx = "\x02L\x03";
+}  // namespace
+
 void TagCodec::AppendLiteral(std::string_view text, std::string& out) {
-  for (char c : text) {
-    if (c == kStx) {
-      out += kStx;
-      out += 'L';
-      out += kEtx;
-    } else {
-      out += c;
+  while (!text.empty()) {
+    const char* stx =
+        static_cast<const char*>(std::memchr(text.data(), kStx, text.size()));
+    if (stx == nullptr) {
+      out.append(text);
+      return;
     }
+    size_t run = static_cast<size_t>(stx - text.data());
+    out.append(text.data(), run);
+    out.append(kLiteralStx);
+    text.remove_prefix(run + 1);
   }
 }
 

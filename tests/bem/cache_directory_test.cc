@@ -1,10 +1,15 @@
 #include "bem/cache_directory.h"
 
+#include <algorithm>
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
+#include "common/rng.h"
 
 namespace dynaprox::bem {
 namespace {
@@ -197,6 +202,97 @@ TEST(CacheDirectoryTest, KeyOfReportsValidEntriesOnly) {
   EXPECT_EQ(*dir->KeyOf(Frag("a")), key);
   ASSERT_TRUE(dir->Invalidate(Frag("a")).ok());
   EXPECT_TRUE(dir->KeyOf(Frag("a")).status().IsNotFound());
+}
+
+// Inserts `capacity` fresh fragments named `prefix`<i> and checks that
+// their keys are exactly [0, capacity): each key handed out once, none
+// evicted.
+void ExpectEveryKeyOnce(CacheDirectory& dir, const std::string& prefix) {
+  const uint64_t evictions_before = dir.stats().evictions;
+  std::set<DpcKey> keys;
+  for (DpcKey i = 0; i < dir.capacity(); ++i) {
+    Result<DpcKey> key = dir.Insert(Frag(prefix + std::to_string(i)), 0);
+    ASSERT_TRUE(key.ok());
+    EXPECT_LT(*key, dir.capacity());
+    EXPECT_TRUE(keys.insert(*key).second) << "key " << *key << " twice";
+  }
+  EXPECT_EQ(keys.size(), dir.capacity());
+  EXPECT_EQ(dir.stats().evictions, evictions_before);
+  EXPECT_EQ(dir.free_key_count(), 0u);
+  EXPECT_EQ(dir.entry_count(), dir.capacity());
+}
+
+TEST(CacheDirectoryTest, ReinsertsAfterInvalidateAllHandOutEveryKeyOnce) {
+  SimClock clock;
+  auto dir = MakeDirectory(200, &clock);
+  ExpectEveryKeyOnce(*dir, "first-");
+  EXPECT_EQ(dir->InvalidateAll(), 200u);
+  EXPECT_EQ(dir->free_key_count(), 200u);
+  ExpectEveryKeyOnce(*dir, "second-");
+}
+
+TEST(CacheDirectoryTest, ReinsertsAfterSweepExpiredHandOutEveryKeyOnce) {
+  SimClock clock;
+  auto dir = MakeDirectory(200, &clock);
+  // Half the keys expire in the sweep; the other half stays valid until
+  // invalidated one by one, so both release paths feed the free list.
+  std::vector<std::string> lasting;
+  for (int i = 0; i < 200; ++i) {
+    std::string name = "f" + std::to_string(i);
+    ASSERT_TRUE(dir->Insert(Frag(name), i % 2 == 0 ? kMicrosPerSecond : 0)
+                    .ok());
+    if (i % 2 != 0) lasting.push_back(name);
+  }
+  clock.AdvanceSeconds(2);
+  EXPECT_EQ(dir->SweepExpired(), 100u);
+  for (const std::string& name : lasting) {
+    ASSERT_TRUE(dir->Invalidate(Frag(name)).ok());
+  }
+  ExpectEveryKeyOnce(*dir, "g");
+}
+
+TEST(CacheDirectoryTest, SnapshotEntriesStaySorted) {
+  SimClock clock;
+  auto dir = MakeDirectory(300, &clock);
+  Rng rng(5);
+  std::set<std::string> names;
+  while (names.size() < 250) {
+    names.insert("frag-" + std::to_string(rng.NextBounded(1000000)));
+  }
+  for (const std::string& name : names) {
+    ASSERT_TRUE(dir->Insert(Frag(name), 0).ok());
+  }
+  std::vector<CacheDirectory::EntryView> all = dir->SnapshotEntries();
+  ASSERT_EQ(all.size(), names.size());
+  auto name_it = names.begin();
+  for (const CacheDirectory::EntryView& view : all) {
+    EXPECT_EQ(view.fragment_id, *name_it++);
+  }
+  std::vector<CacheDirectory::EntryView> first = dir->SnapshotEntries(10);
+  ASSERT_EQ(first.size(), 10u);
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].fragment_id, all[i].fragment_id);
+  }
+}
+
+TEST(CacheDirectoryTest, AffectedFragmentsStaySorted) {
+  SimClock clock;
+  auto dir = MakeDirectory(300, &clock);
+  Rng rng(6);
+  std::set<std::string> expected;
+  for (int i = 0; i < 250; ++i) {
+    std::string name = "frag-" + std::to_string(rng.NextBounded(1000000));
+    // Row, table and both: each fragment must be named once.
+    DependencyList deps;
+    if (i % 3 != 1) deps.push_back({"news", "n1"});
+    if (i % 3 != 0) deps.push_back({"news", ""});
+    ASSERT_TRUE(dir->Insert(Frag(name), 0, deps).ok());
+    expected.insert(name);
+  }
+  std::vector<std::string> affected = dir->dependencies().Affected(
+      {"news", "n1", storage::UpdateKind::kUpdate});
+  EXPECT_EQ(affected,
+            std::vector<std::string>(expected.begin(), expected.end()));
 }
 
 // Invariant sweep: under a random-ish workload the directory never exceeds

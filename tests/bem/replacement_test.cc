@@ -1,12 +1,28 @@
 #include "bem/replacement.h"
 
+#include <algorithm>
+#include <list>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+
 namespace dynaprox::bem {
 namespace {
+
+// Evicts everything, oldest first: the policy's whole order, and its size.
+std::vector<std::string> DrainOrder(ReplacementPolicy& policy) {
+  std::vector<std::string> order;
+  for (Result<std::string> victim = policy.PickVictim(); victim.ok();
+       victim = policy.PickVictim()) {
+    order.push_back(*victim);
+    policy.OnRemove(*victim);
+  }
+  return order;
+}
 
 TEST(LruPolicyTest, EvictsLeastRecentlyUsed) {
   LruPolicy lru;
@@ -40,6 +56,72 @@ TEST(LruPolicyTest, ReinsertTouches) {
   lru.OnInsert("b");
   lru.OnInsert("a");  // Re-insert moves "a" to the front.
   EXPECT_EQ(*lru.PickVictim(), "b");
+}
+
+TEST(LruPolicyTest, TouchingFrontBackOrMiddleKeepsOrderAndSize) {
+  struct Case {
+    const char* touched;
+    std::vector<std::string> expected;  // Eviction order after the touch.
+  };
+  // Inserted a..e, so "e" is the front (most recent) and "a" the back.
+  for (const Case& c : {Case{"e", {"a", "b", "c", "d", "e"}},
+                        Case{"a", {"b", "c", "d", "e", "a"}},
+                        Case{"c", {"a", "b", "d", "e", "c"}}}) {
+    for (bool via_access : {true, false}) {
+      LruPolicy lru;
+      for (const char* id : {"a", "b", "c", "d", "e"}) lru.OnInsert(id);
+      if (via_access) {
+        lru.OnAccess(c.touched);
+      } else {
+        lru.OnInsert(c.touched);  // A re-insert touches too.
+      }
+      EXPECT_EQ(DrainOrder(lru), c.expected)
+          << "touched " << c.touched << (via_access ? " by access" : "");
+    }
+  }
+}
+
+TEST(LruPolicyTest, AgreesWithAListModelUnderRandomTouches) {
+  Rng rng(11);
+  LruPolicy lru;
+  std::list<std::string> model;  // Front = most recent.
+  for (int step = 0; step < 5000; ++step) {
+    std::string id = "f" + std::to_string(rng.NextBounded(64));
+    auto at = std::find(model.begin(), model.end(), id);
+    switch (rng.NextBounded(4)) {
+      case 0:  // Insert (re-insert touches).
+        lru.OnInsert(id);
+        if (at != model.end()) model.erase(at);
+        model.push_front(id);
+        break;
+      case 1:
+        if (at == model.end()) break;  // Hits only touch tracked ids.
+        lru.OnAccess(id);
+        model.erase(at);
+        model.push_front(id);
+        break;
+      case 2:
+        lru.OnRemove(id);
+        if (at != model.end()) model.erase(at);
+        break;
+      default: {  // Evict the victim, as the directory does.
+        Result<std::string> victim = lru.PickVictim();
+        ASSERT_EQ(victim.ok(), !model.empty()) << "step " << step;
+        if (!victim.ok()) break;
+        ASSERT_EQ(*victim, model.back()) << "step " << step;
+        lru.OnRemove(*victim);
+        model.pop_back();
+        break;
+      }
+    }
+    Result<std::string> victim = lru.PickVictim();
+    ASSERT_EQ(victim.ok(), !model.empty()) << "step " << step;
+    if (victim.ok()) {
+      ASSERT_EQ(*victim, model.back()) << "step " << step;
+    }
+  }
+  EXPECT_EQ(DrainOrder(lru),
+            std::vector<std::string>(model.rbegin(), model.rend()));
 }
 
 TEST(FifoPolicyTest, EvictsOldestIgnoringAccesses) {

@@ -1,9 +1,99 @@
 #include "bem/tag_codec.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
+#include "common/strings.h"
 
 namespace dynaprox::bem {
 namespace {
+
+// The escaper's specification, one byte at a time: every STX becomes
+// STX 'L' ETX, every other byte is copied. AppendLiteral must produce
+// exactly these bytes.
+std::string OracleLiteral(std::string_view text) {
+  std::string out;
+  for (char c : text) {
+    if (c == TagCodec::kStx) {
+      out += TagCodec::kStx;
+      out += 'L';
+      out += TagCodec::kEtx;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+std::string OracleSet(DpcKey key, std::string_view content) {
+  return std::string("\x02S") + ToHex(key) + "\x03" + OracleLiteral(content) +
+         "\x02" "E\x03";
+}
+
+// `size` random bytes, each STX with probability `stx_percent` / 100 and
+// otherwise any other byte value (ETX and NUL included).
+std::string RandomBytes(Rng& rng, size_t size, uint64_t stx_percent) {
+  std::string out(size, '\0');
+  for (char& c : out) {
+    if (rng.NextBounded(100) < stx_percent) {
+      c = TagCodec::kStx;
+    } else {
+      c = static_cast<char>(rng.NextBounded(256));
+      if (c == TagCodec::kStx) c = TagCodec::kEtx;
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> EscaperInputs() {
+  const std::string stx(1, TagCodec::kStx);
+  std::vector<std::string> inputs = {
+      "",
+      "a",
+      stx,
+      std::string(1, TagCodec::kEtx),
+      std::string(1, '\0'),
+      stx + "tail",
+      "head" + stx,
+      stx + "mid" + stx,
+      "a" + stx + stx + stx + "b",
+      stx + stx + "x" + stx + stx,
+      std::string(1000, TagCodec::kStx),
+  };
+  Rng rng(20);
+  for (uint64_t percent : {0, 1, 50}) {
+    inputs.push_back(RandomBytes(rng, 64 * 1024, percent));
+  }
+  // Short random inputs straddle every run boundary shape.
+  for (int i = 0; i < 200; ++i) {
+    inputs.push_back(
+        RandomBytes(rng, rng.NextBounded(40), rng.NextBounded(101)));
+  }
+  return inputs;
+}
+
+TEST(TagCodecTest, LiteralMatchesByteOracle) {
+  for (const std::string& input : EscaperInputs()) {
+    std::string out = "prefix";
+    TagCodec::AppendLiteral(input, out);
+    ASSERT_EQ(out, "prefix" + OracleLiteral(input))
+        << "input of " << input.size() << " bytes";
+  }
+}
+
+TEST(TagCodecTest, SetMatchesByteOracle) {
+  DpcKey key = 0;
+  for (const std::string& input : EscaperInputs()) {
+    std::string out = "prefix";
+    TagCodec::AppendSet(key, input, out);
+    ASSERT_EQ(out, "prefix" + OracleSet(key, input))
+        << "input of " << input.size() << " bytes, key " << key;
+    key = key * 7 + 13;
+  }
+}
 
 TEST(TagCodecTest, LiteralPassesPlainTextThrough) {
   std::string out;

@@ -1,13 +1,17 @@
 // Property tests: randomized templates round-trip through the
 // TagCodec -> TagScanner -> PageAssembler pipeline byte-exactly, including
-// adversarial content containing the tag marker bytes.
+// adversarial content containing the tag marker bytes, and through
+// TagCodec -> StreamingScanner with contents up to 64 KiB under random
+// chunkings.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bem/tag_codec.h"
+#include "common/buffer_chain.h"
 #include "common/rng.h"
 #include "dpc/assembler.h"
 #include "dpc/fragment_store.h"
@@ -143,6 +147,113 @@ TEST_P(TemplateFuzzTest, RandomGarbageNeverCrashesParser) {
       EXPECT_TRUE(page.status().IsCorruption() ||
                   page.status().IsInvalidArgument())
           << page.status().ToString();
+    }
+  }
+}
+
+// Long content: up to 64 KiB per segment at an STX density of 0 %, 1 % or
+// 50 %, so escapes land at run starts, run ends, back to back and far
+// apart, and long STX-free runs cross many chunk boundaries.
+std::string LongContent(Rng& rng) {
+  static constexpr size_t kMaxLen[] = {0, 1, 300, 8 * 1024, 64 * 1024};
+  static constexpr uint64_t kStxPercent[] = {0, 1, 50};
+  size_t len = rng.NextBounded(kMaxLen[rng.NextBounded(5)] + 1);
+  uint64_t stx_percent = kStxPercent[rng.NextBounded(3)];
+  std::string out(len, '\0');
+  for (char& c : out) {
+    if (rng.NextBounded(100) < stx_percent) {
+      c = bem::TagCodec::kStx;
+    } else {
+      c = static_cast<char>(rng.NextBounded(256));
+      if (c == bem::TagCodec::kStx) c = bem::TagCodec::kEtx;
+    }
+  }
+  return out;
+}
+
+// A segment as encoded; literals are folded, since the scanner flushes a
+// literal at every chunk boundary.
+struct Segment {
+  TemplateSegment::Kind kind;
+  bem::DpcKey key;
+  std::string text;
+
+  bool operator==(const Segment& other) const {
+    return kind == other.kind && key == other.key && text == other.text;
+  }
+};
+
+void AddSegment(std::vector<Segment>& out, TemplateSegment::Kind kind,
+                bem::DpcKey key, std::string text) {
+  if (kind == TemplateSegment::Kind::kLiteral) {
+    if (text.empty()) return;
+    if (!out.empty() && out.back().kind == kind) {
+      out.back().text += text;
+      return;
+    }
+  }
+  out.push_back({kind, key, std::move(text)});
+}
+
+TEST_P(TemplateFuzzTest, LongContentRoundTripsThroughStreamingScanner) {
+  using Kind = TemplateSegment::Kind;
+  Rng rng(GetParam() * 7919 + 1);
+  for (int round = 0; round < 12; ++round) {
+    std::string wire;
+    std::vector<Segment> encoded;
+    size_t pieces = 1 + rng.NextBounded(5);
+    for (size_t i = 0; i < pieces; ++i) {
+      bem::DpcKey key = static_cast<bem::DpcKey>(rng.NextBounded(1u << 20));
+      switch (rng.NextBounded(3)) {
+        case 0: {
+          std::string text = LongContent(rng);
+          bem::TagCodec::AppendLiteral(text, wire);
+          AddSegment(encoded, Kind::kLiteral, bem::kInvalidDpcKey,
+                     std::move(text));
+          break;
+        }
+        case 1: {
+          std::string content = LongContent(rng);
+          bem::TagCodec::AppendSet(key, content, wire);
+          AddSegment(encoded, Kind::kSet, key, std::move(content));
+          break;
+        }
+        default:
+          bem::TagCodec::AppendGet(key, wire);
+          AddSegment(encoded, Kind::kGet, key, "");
+          break;
+      }
+    }
+
+    // Random chunking: half the cuts are 1..16 bytes (tags and escapes
+    // split), the rest long enough to keep the chunk count bounded.
+    StreamingScanner scanner;
+    std::vector<StreamSegment> scanned;
+    size_t long_cut = 1 + wire.size() / 32;
+    for (size_t at = 0; at < wire.size();) {
+      size_t cut = 1 + rng.NextBounded(rng.NextBool(0.5) ? 16 : long_cut);
+      cut = std::min(cut, wire.size() - at);
+      ASSERT_TRUE(
+          scanner.Feed(common::MakeBuffer(wire.substr(at, cut)), scanned)
+              .ok())
+          << "seed=" << GetParam() << " round=" << round << " at=" << at;
+      at += cut;
+    }
+    ASSERT_TRUE(scanner.Finish(scanned).ok())
+        << "seed=" << GetParam() << " round=" << round;
+
+    std::vector<Segment> decoded;
+    for (const StreamSegment& segment : scanned) {
+      AddSegment(decoded, segment.kind, segment.key, segment.Text());
+    }
+    ASSERT_EQ(decoded.size(), encoded.size())
+        << "seed=" << GetParam() << " round=" << round;
+    for (size_t i = 0; i < encoded.size(); ++i) {
+      EXPECT_TRUE(decoded[i] == encoded[i])
+          << "seed=" << GetParam() << " round=" << round << " segment=" << i
+          << " kind=" << static_cast<int>(encoded[i].kind)
+          << " bytes=" << encoded[i].text.size() << " vs "
+          << decoded[i].text.size();
     }
   }
 }

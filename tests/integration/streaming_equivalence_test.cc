@@ -8,7 +8,9 @@
 // so the SET/GET handshakes are symmetric.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -29,18 +31,36 @@
 namespace dynaprox {
 namespace {
 
-// Re-frames a whole origin body as three chunks a few milliseconds apart,
-// so the DPC sees template bytes still in flight on every response.
+// Re-frames a whole origin body as three chunks and holds the second and
+// third until `released` returns true, so the DPC sees template bytes
+// still in flight by construction, however slowly it runs. Every page
+// opens with literal text and the first chunk is at least a third of the
+// template, so the DPC can commit on the first chunk alone. A hold that
+// outlasts kHoldLimit fails the test and releases the chunks.
 class PacedChunks : public http::BodyStream {
  public:
-  explicit PacedChunks(std::string body) : body_(std::move(body)) {
+  static constexpr auto kHoldLimit = std::chrono::seconds(10);
+
+  PacedChunks(std::string body, std::function<bool()> released)
+      : body_(std::move(body)), released_(std::move(released)) {
     step_ = std::max<size_t>(1, (body_.size() + 2) / 3);
   }
 
   Result<common::BufferChain> Next() override {
     common::BufferChain out;
     if (at_ >= body_.size()) return out;
-    if (at_ > 0) std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    if (at_ > 0 && released_ != nullptr) {
+      auto deadline = std::chrono::steady_clock::now() + kHoldLimit;
+      while (!released_()) {
+        if (std::chrono::steady_clock::now() >= deadline) {
+          ADD_FAILURE() << "the DPC did not commit a stream within 10 s of "
+                           "the template's first chunk";
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      released_ = nullptr;
+    }
     out.AppendCopy(std::string_view(body_).substr(at_, step_));
     at_ += step_;
     return out;
@@ -48,14 +68,17 @@ class PacedChunks : public http::BodyStream {
 
  private:
   std::string body_;
+  std::function<bool()> released_;
   size_t step_ = 1;
   size_t at_ = 0;
 };
 
 // One origin (own BEM) and one DPC. `streamed`: the origin sits behind a
-// TcpServer that paces every body out in chunks, reached over a pooled
-// upstream, and clients fetch through the DPC's own TcpServer. Otherwise
-// the DPC reaches the origin in process and every page arrives whole.
+// TcpServer that sends every body in chunks, holding the rest of a
+// fetch's template until the DPC has committed that fetch's stream; it is
+// reached over a pooled upstream, and clients fetch through the DPC's own
+// TcpServer. Otherwise the DPC reaches the origin in process and every
+// page arrives whole.
 struct Stack {
   Stack(appserver::ScriptRegistry* registry,
         storage::ContentRepository* repository, SimClock* clock,
@@ -77,8 +100,12 @@ struct Stack {
     origin_server = std::make_unique<net::TcpServer>(
         [this](const http::Request& request) {
           http::Response response = origin->Handle(request);
-          response.body_stream =
-              std::make_shared<PacedChunks>(response.BodyText());
+          // A refresh round trip inside a committed stream is released at
+          // once: the fetch's commit has already been counted.
+          response.body_stream = std::make_shared<PacedChunks>(
+              response.BodyText(), [this] {
+                return proxy->stats().streamed >= commit_target.load();
+              });
           response.body.clear();
           response.body_chain.Clear();
           return response;
@@ -108,6 +135,7 @@ struct Stack {
       if (response.body_stream != nullptr) return "<unexpected stream>";
       return response.BodyText();
     }
+    commit_target = proxy->stats().streamed + 1;
     Result<http::Response> response = client->RoundTrip(request);
     if (!response.ok()) return "<transport error>";
     return std::string(response->body);
@@ -120,6 +148,8 @@ struct Stack {
   std::unique_ptr<dpc::DpcProxy> proxy;
   std::unique_ptr<net::TcpServer> front;
   std::unique_ptr<net::PooledClientTransport> client;
+  // The DPC's streamed count once the current fetch has committed.
+  std::atomic<uint64_t> commit_target{0};
 };
 
 class StreamingEquivalenceTest : public ::testing::Test {
