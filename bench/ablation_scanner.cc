@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bem/tag_codec.h"
+#include "common/buffer_chain.h"
 #include "dpc/assembler.h"
 #include "dpc/fragment_store.h"
 #include "dpc/kmp.h"
@@ -17,6 +18,8 @@
 namespace {
 
 using dynaprox::bem::TagCodec;
+using dynaprox::common::Buffer;
+using dynaprox::common::MakeBuffer;
 using dynaprox::dpc::KmpMatcher;
 using dynaprox::dpc::ParseTemplate;
 using dynaprox::dpc::ScanStrategy;
@@ -45,23 +48,25 @@ std::string MakeSetTemplate(int fragments, int fragment_bytes) {
 }
 
 void BM_ScanGetTemplate(benchmark::State& state, ScanStrategy strategy) {
-  std::string wire = MakeGetTemplate(static_cast<int>(state.range(0)), 500);
+  Buffer wire =
+      MakeBuffer(MakeGetTemplate(static_cast<int>(state.range(0)), 500));
   for (auto _ : state) {
     auto segments = ParseTemplate(wire, strategy);
     benchmark::DoNotOptimize(segments);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(wire.size()));
+                          static_cast<int64_t>(wire->size()));
 }
 
 void BM_ScanSetTemplate(benchmark::State& state, ScanStrategy strategy) {
-  std::string wire = MakeSetTemplate(static_cast<int>(state.range(0)), 1000);
+  Buffer wire =
+      MakeBuffer(MakeSetTemplate(static_cast<int>(state.range(0)), 1000));
   for (auto _ : state) {
     auto segments = ParseTemplate(wire, strategy);
     benchmark::DoNotOptimize(segments);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(wire.size()));
+                          static_cast<int64_t>(wire->size()));
 }
 
 void BM_FirewallKmpScan(benchmark::State& state) {

@@ -27,7 +27,6 @@ using dynaprox::ZipfSampler;
 using dynaprox::bem::TagCodec;
 using dynaprox::common::Buffer;
 using dynaprox::common::MakeBuffer;
-using dynaprox::dpc::AssembledPage;
 using dynaprox::dpc::AssemblePage;
 using dynaprox::dpc::FragmentStore;
 
@@ -88,8 +87,8 @@ void BM_AssembleChained(benchmark::State& state) {
     auto page = AssemblePage(wire, workload.store);
     if (!page.ok()) abort();
     benchmark::DoNotOptimize(page->body);
-    copied += page->bytes_copied;
-    referenced += page->bytes_referenced;
+    copied += page->progress.bytes_copied;
+    referenced += page->progress.bytes_referenced;
     ++pages;
   }
   state.counters["bytes_copied/page"] =
@@ -114,7 +113,7 @@ void BM_AssembleFlattened(benchmark::State& state) {
     if (!page.ok()) abort();
     std::string flat = page->Text();
     benchmark::DoNotOptimize(flat);
-    copied += page->bytes_copied + flat.size();
+    copied += page->progress.bytes_copied + flat.size();
     ++pages;
   }
   state.counters["bytes_copied/page"] =
@@ -138,8 +137,8 @@ void BM_AssembleColdSets(benchmark::State& state) {
     auto page = AssemblePage(shared_wire, store);
     if (!page.ok()) abort();
     benchmark::DoNotOptimize(page->body);
-    copied += page->bytes_copied;
-    referenced += page->bytes_referenced;
+    copied += page->progress.bytes_copied;
+    referenced += page->progress.bytes_referenced;
     ++pages;
   }
   state.counters["bytes_copied/page"] =

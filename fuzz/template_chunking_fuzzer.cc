@@ -1,9 +1,12 @@
 // libFuzzer entry point for the streaming scanner's chunk-boundary state
-// machine: any template, sliced at any byte boundaries, must agree with
-// the buffered parse — same accept/reject, same segment stream (adjacent
-// literals folded). The first bytes of the input seed the chunk sizes, so
-// coverage-guided fuzzing explores boundary placements as well as
-// template bytes.
+// machine. Two oracles:
+//  - any template, sliced at any byte boundaries, must scan like the same
+//    template fed whole: same accept/reject, same segment stream (adjacent
+//    literals folded);
+//  - decode -> encode -> decode: an accepted template's segments,
+//    re-encoded with bem::TagCodec, must scan back to the same segments.
+// The first bytes of the input seed the chunk sizes, so coverage-guided
+// fuzzing explores boundary placements as well as template bytes.
 
 #include <cstddef>
 #include <cstdint>
@@ -11,38 +14,37 @@
 #include <string_view>
 #include <vector>
 
+#include "bem/tag_codec.h"
 #include "common/buffer_chain.h"
 #include "dpc/tag_scanner.h"
+#include "folded_segments.h"
 
 namespace {
 
+using dynaprox::bem::TagCodec;
 using dynaprox::dpc::ParseTemplate;
-using dynaprox::dpc::ScanStrategy;
 using dynaprox::dpc::StreamingScanner;
 using dynaprox::dpc::StreamSegment;
-using dynaprox::dpc::TemplateSegment;
-using Kind = TemplateSegment::Kind;
+using dynaprox::fuzz::Fold;
+using dynaprox::fuzz::FoldedSegment;
+using Kind = StreamSegment::Kind;
 
-struct Norm {
-  Kind kind;
-  dynaprox::bem::DpcKey key;
-  std::string text;
-
-  bool operator==(const Norm& other) const {
-    return kind == other.kind && key == other.key && text == other.text;
-  }
-};
-
-void Fold(std::vector<Norm>& out, Kind kind, dynaprox::bem::DpcKey key,
-          std::string text) {
-  if (kind == Kind::kLiteral) {
-    if (text.empty()) return;
-    if (!out.empty() && out.back().kind == Kind::kLiteral) {
-      out.back().text += text;
-      return;
+std::string Encode(const std::vector<FoldedSegment>& segments) {
+  std::string wire;
+  for (const FoldedSegment& segment : segments) {
+    switch (segment.kind) {
+      case Kind::kLiteral:
+        TagCodec::AppendLiteral(segment.text, wire);
+        break;
+      case Kind::kSet:
+        TagCodec::AppendSet(segment.key, segment.text, wire);
+        break;
+      case Kind::kGet:
+        TagCodec::AppendGet(segment.key, wire);
+        break;
     }
   }
-  out.push_back({kind, key, std::move(text)});
+  return wire;
 }
 
 }  // namespace
@@ -54,9 +56,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::string_view wire(reinterpret_cast<const char*>(data) + (size > 0),
                         size - (size > 0));
 
-  auto buffered = ParseTemplate(wire, ScanStrategy::kMemchr);
+  auto whole = ParseTemplate(wire);
 
-  StreamingScanner scanner(ScanStrategy::kMemchr);
+  StreamingScanner scanner;
   std::vector<StreamSegment> streamed;
   dynaprox::Status status = dynaprox::Status::Ok();
   uint32_t state = seed * 2654435761u + 1;
@@ -72,17 +74,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (status.ok()) status = scanner.Finish(streamed);
 
   // Accept/reject must agree regardless of chunk placement.
-  if (buffered.ok() != status.ok()) __builtin_trap();
-  if (!buffered.ok()) return 0;
+  if (whole.ok() != status.ok()) __builtin_trap();
+  if (!whole.ok()) return 0;
 
-  std::vector<Norm> expect;
-  for (const TemplateSegment& segment : *buffered) {
-    Fold(expect, segment.kind, segment.key, segment.Text());
-  }
-  std::vector<Norm> got;
-  for (const StreamSegment& segment : streamed) {
-    Fold(got, segment.kind, segment.key, segment.Text());
-  }
-  if (!(expect == got)) __builtin_trap();
+  std::vector<FoldedSegment> decoded = Fold(*whole);
+  if (decoded != Fold(streamed)) __builtin_trap();
+
+  auto reencoded = ParseTemplate(Encode(decoded));
+  if (!reencoded.ok() || Fold(*reencoded) != decoded) __builtin_trap();
   return 0;
 }

@@ -30,20 +30,23 @@ cmake -B build-perfbench -S perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-perfbench -j"$JOBS" --target perfbench
 
 # The streaming suites (dpc/streaming_scanner_test, http/streaming_reader
-# _test, net/streaming_test, dpc/proxy_streaming_test, and the chunking
-# fuzz smoke) live inside these binaries, so split-boundary state and the
-# chunk framing run under both sanitizers. bem_test and appserver_test
-# cover the cache directory's invalidation step, which also erases the
-# fragment's dependencies from the registry; InvalidateAll and
-# SweepExpired run it with a key reference into the entry map they are
-# iterating.
+# _test, net/streaming_test, dpc/proxy_streaming_test) live inside these
+# binaries, so split-boundary state and the chunk framing run under both
+# sanitizers. All three fuzz smokes replay their corpora here too, so both
+# parsers that take bytes from the network run under ASan: the template
+# scanner (whole, and under random chunkings) and the HTTP request reader.
+# bem_test and appserver_test cover the cache directory's invalidation
+# step, which also erases the fragment's dependencies from the registry;
+# InvalidateAll and SweepExpired run it with a key reference into the
+# entry map they are iterating.
 echo "== tier1: ASan+UBSan (common/http/net/dpc/bem/appserver/integration/fuzz) =="
 cmake -B build-asan -S . -DDYNAPROX_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target \
   common_test http_test net_test dpc_test bem_test appserver_test \
-  integration_test fuzz_smoke_template_chunking
+  integration_test fuzz_smoke_template fuzz_smoke_template_chunking \
+  fuzz_smoke_http
 ctest --test-dir build-asan --output-on-failure \
-  -R '^(common_test|http_test|net_test|dpc_test|bem_test|appserver_test|integration_test|fuzz_smoke_template_chunking)$'
+  -R '^(common_test|http_test|net_test|dpc_test|bem_test|appserver_test|integration_test|fuzz_smoke_template|fuzz_smoke_template_chunking|fuzz_smoke_http)$'
 
 # common_test carries the thread-pool suite, bem_test the striped
 # directory/free-list/monitor hammers (plus the push scheduler), and

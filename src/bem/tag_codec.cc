@@ -1,13 +1,22 @@
 #include "bem/tag_codec.h"
 
+#include <bit>
+#include <charconv>
 #include <cstring>
-
-#include "common/strings.h"
 
 namespace dynaprox::bem {
 
 namespace {
 constexpr std::string_view kLiteralStx = "\x02L\x03";
+constexpr std::string_view kSetEnd = "\x02" "E\x03";
+
+// Appends STX `marker` hex-key ETX, the key in minimal hex, in one append.
+void AppendKeyTag(char marker, DpcKey key, std::string& out) {
+  char tag[3 + 2 * sizeof(DpcKey)] = {TagCodec::kStx, marker};
+  char* end = std::to_chars(tag + 2, std::end(tag), key, 16).ptr;
+  *end++ = TagCodec::kEtx;
+  out.append(tag, end);
+}
 }  // namespace
 
 void TagCodec::AppendLiteral(std::string_view text, std::string& out) {
@@ -27,27 +36,17 @@ void TagCodec::AppendLiteral(std::string_view text, std::string& out) {
 
 void TagCodec::AppendSet(DpcKey key, std::string_view content,
                          std::string& out) {
-  out += kStx;
-  out += 'S';
-  out += ToHex(key);
-  out += kEtx;
+  AppendKeyTag('S', key, out);
   AppendLiteral(content, out);
-  out += kStx;
-  out += 'E';
-  out += kEtx;
+  out.append(kSetEnd);
 }
 
 void TagCodec::AppendGet(DpcKey key, std::string& out) {
-  out += kStx;
-  out += 'G';
-  out += ToHex(key);
-  out += kEtx;
+  AppendKeyTag('G', key, out);
 }
 
-size_t TagCodec::GetTagSize(DpcKey key) { return 3 + ToHex(key).size(); }
-
-size_t TagCodec::SetFramingSize(DpcKey key) {
-  return GetTagSize(key) + 3;  // set-open plus the 3-byte set-close.
+size_t TagCodec::GetTagSize(DpcKey key) {
+  return 3 + (std::bit_width(key | 1u) + 3) / 4;  // Key 0 is one digit.
 }
 
 }  // namespace dynaprox::bem

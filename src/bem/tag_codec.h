@@ -43,8 +43,9 @@ class TagCodec {
   // Bytes AppendGet would produce for `key` (the realized tag size g).
   static size_t GetTagSize(DpcKey key);
 
-  // Bytes of framing overhead AppendSet adds beyond the escaped content.
-  static size_t SetFramingSize(DpcKey key);
+  // Bytes of framing overhead AppendSet adds beyond the escaped content:
+  // the set-open tag plus the 3-byte set-close.
+  static size_t SetFramingSize(DpcKey key) { return GetTagSize(key) + 3; }
 };
 
 }  // namespace dynaprox::bem

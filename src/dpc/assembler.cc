@@ -4,60 +4,6 @@
 
 namespace dynaprox::dpc {
 
-Result<AssembledPage> AssemblePage(common::Buffer wire,
-                                   FragmentStore& store,
-                                   ScanStrategy strategy) {
-  std::string_view wire_view = wire == nullptr ? std::string_view() : *wire;
-  std::vector<TemplateSegment> segments;
-  DYNAPROX_ASSIGN_OR_RETURN(segments, ParseTemplate(wire_view, strategy));
-
-  AssembledPage out;
-  for (TemplateSegment& segment : segments) {
-    switch (segment.kind) {
-      case TemplateSegment::Kind::kLiteral:
-        for (std::string_view piece : segment.pieces) {
-          out.body.Append(wire, piece);
-          out.bytes_referenced += piece.size();
-        }
-        break;
-      case TemplateSegment::Kind::kSet: {
-        ++out.set_count;
-        out.set_keys.push_back(segment.key);
-        // One materialization, shared: the store slot and the page chain
-        // hold the same buffer, so the payload is never copied again —
-        // not here, and not by any later page that GETs it.
-        FragmentRef fragment =
-            std::make_shared<const std::string>(segment.Text());
-        out.bytes_copied += fragment->size();
-        out.body.Append(fragment);
-        DYNAPROX_RETURN_IF_ERROR(store.Set(segment.key, std::move(fragment)));
-        break;
-      }
-      case TemplateSegment::Kind::kGet: {
-        ++out.get_count;
-        Result<FragmentRef> content = store.Get(segment.key);
-        if (!content.ok()) {
-          if (content.status().IsNotFound()) {
-            out.missing_keys.push_back(segment.key);
-            break;
-          }
-          return content.status();
-        }
-        out.bytes_referenced += (*content)->size();
-        out.body.Append(std::move(*content));
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-Result<AssembledPage> AssemblePage(std::string_view wire,
-                                   FragmentStore& store,
-                                   ScanStrategy strategy) {
-  return AssemblePage(common::MakeBuffer(std::string(wire)), store, strategy);
-}
-
 Status StreamingAssembler::Execute(Status scanned, MicroTime scan_start,
                                    common::BufferChain& out) {
   MicroTime scanned_at = Now();
@@ -69,17 +15,18 @@ Status StreamingAssembler::Execute(Status scanned, MicroTime scan_start,
   common::BufferChain* sink = &out;
   for (StreamSegment& segment : segments_) {
     switch (segment.kind) {
-      case TemplateSegment::Kind::kLiteral:
+      case StreamSegment::Kind::kLiteral:
         for (StreamPiece& piece : segment.pieces) {
           progress_.bytes_referenced += piece.view.size();
           sink->Append(std::move(piece.owner), piece.view);
         }
         break;
-      case TemplateSegment::Kind::kSet: {
+      case StreamSegment::Kind::kSet: {
         ++progress_.set_count;
         progress_.set_keys.push_back(segment.key);
-        // Same sharing as AssemblePage: one materialization feeds both
-        // the store slot and the output chain.
+        // One materialization, shared: the store slot and the output
+        // chain hold the same buffer, so the payload is never copied
+        // again — not here, and not by any later page that GETs it.
         FragmentRef fragment =
             std::make_shared<const std::string>(segment.Text());
         progress_.bytes_copied += fragment->size();
@@ -87,7 +34,7 @@ Status StreamingAssembler::Execute(Status scanned, MicroTime scan_start,
         DYNAPROX_RETURN_IF_ERROR(store_.Set(segment.key, std::move(fragment)));
         break;
       }
-      case TemplateSegment::Kind::kGet: {
+      case StreamSegment::Kind::kGet: {
         ++progress_.get_count;
         Result<FragmentRef> content = store_.Get(segment.key);
         if (content.ok()) {
@@ -153,6 +100,21 @@ Status StreamingAssembler::Finish(common::BufferChain& out) {
   segments_.clear();
   MicroTime start = Now();
   return Execute(scanner_.Finish(segments_), start, out);
+}
+
+Result<AssembledPage> AssemblePage(common::Buffer wire,
+                                   FragmentStore& store) {
+  StreamingAssembler assembler(store);
+  AssembledPage page;
+  DYNAPROX_RETURN_IF_ERROR(assembler.Feed(std::move(wire), page.body));
+  DYNAPROX_RETURN_IF_ERROR(assembler.Finish(page.body));
+  page.progress = assembler.progress();
+  return page;
+}
+
+Result<AssembledPage> AssemblePage(std::string_view wire,
+                                   FragmentStore& store) {
+  return AssemblePage(common::MakeBuffer(std::string(wire)), store);
 }
 
 }  // namespace dynaprox::dpc

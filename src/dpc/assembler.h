@@ -15,57 +15,13 @@
 
 namespace dynaprox::dpc {
 
-// Result of assembling one whole response template with AssemblePage. The
-// body is a buffer chain: literals alias the retained template wire
-// buffer, GET splices alias the store's fragment buffers, and each SET
-// payload is materialized exactly once into a buffer shared by the store
-// slot and the chain. Nothing is flattened until (unless) a consumer
-// insists on contiguous bytes.
-struct AssembledPage {
-  common::BufferChain body;
-  size_t set_count = 0;
-  size_t get_count = 0;
-  // dpcKeys whose GET found an empty slot (cold cache). When non-empty the
-  // page is incomplete.
-  std::vector<bem::DpcKey> missing_keys;
-  // dpcKeys this page stored via SET, in template order.
-  std::vector<bem::DpcKey> set_keys;
-  // Copy-elimination accounting: bytes memcpy'd while building this page
-  // (SET materialization only) vs bytes spliced in by reference (literals
-  // and GET fragments).
-  size_t bytes_copied = 0;
-  size_t bytes_referenced = 0;
-
-  bool complete() const { return missing_keys.empty(); }
-  // Flattens the chain; for tests, not the wire path.
-  std::string Text() const { return body.Flatten(); }
-};
-
-// Assembles a final page from a whole BEM template (paper 4.3.2): stores
-// SET payloads into `store`, splices GET payloads out of it. Fails only on
-// a corrupt template; cold-cache GET misses are reported via
-// `missing_keys`. The returned page's chain holds a reference to `wire`,
-// so the template bytes stay alive as long as the page does.
-//
-// Not on the serving path: DpcProxy runs StreamingAssembler for every
-// response. This one-shot form is the reference the streaming pair is
-// checked against (streaming_scanner_test, the chunking fuzzer,
-// bench/page_assembly).
-Result<AssembledPage> AssemblePage(
-    common::Buffer wire, FragmentStore& store,
-    ScanStrategy strategy = ScanStrategy::kMemchr);
-
-// Convenience overload for callers holding plain bytes: copies `wire`
-// into a shared buffer first (the copy is the price of not owning one).
-Result<AssembledPage> AssemblePage(
-    std::string_view wire, FragmentStore& store,
-    ScanStrategy strategy = ScanStrategy::kMemchr);
-
-// Running totals of one streamed assembly.
+// Running totals of one assembly.
 struct StreamProgress {
   size_t set_count = 0;
   size_t get_count = 0;
-  // Same meaning as the AssembledPage fields.
+  // Copy-elimination accounting: bytes memcpy'd while building the page
+  // (SET materialization only) vs bytes spliced in by reference (literals
+  // and GET fragments).
   size_t bytes_copied = 0;
   size_t bytes_referenced = 0;
   // dpcKeys stored via SET, in template order. Edge clusters replicate
@@ -77,11 +33,14 @@ struct StreamProgress {
   MicroTime splice_micros = 0;
 };
 
-// Assembles a template arriving in chunks: wraps a StreamingScanner and
-// executes segments against the store the moment they resolve, so
-// assembled bytes reach `out` while the rest of the template is still in
-// flight. Holdback is the scanner's (open SET body + partial tag), never
-// the page.
+// Assembles a page from a BEM template (paper 4.3.2), the DPC's one
+// segment executor: wraps a StreamingScanner and executes segments against
+// the store the moment they resolve, so assembled bytes reach `out` while
+// the rest of the template is still in flight. Holdback is the scanner's
+// (open SET body + partial tag), never the page. Nothing is copied but SET
+// payloads: literals alias the template chunks, GET splices alias the
+// store's fragment buffers, and each SET payload is materialized once into
+// a buffer shared by the store slot and `out`.
 //
 // Cold-cache GET misses are resolved inline, once per Feed()/Finish()
 // call: the call's misses leave holes in its output, the MissResolver is
@@ -95,12 +54,10 @@ class StreamingAssembler {
   using MissResolver = std::function<Status(const std::vector<bem::DpcKey>&)>;
 
   // `clock` times the scan and splice stages (progress()); may be null.
-  StreamingAssembler(FragmentStore& store,
-                     ScanStrategy strategy = ScanStrategy::kMemchr,
-                     MissResolver miss_resolver = nullptr,
-                     const Clock* clock = nullptr)
+  explicit StreamingAssembler(FragmentStore& store,
+                              MissResolver miss_resolver = nullptr,
+                              const Clock* clock = nullptr)
       : store_(store),
-        scanner_(strategy),
         miss_resolver_(std::move(miss_resolver)),
         clock_(clock) {}
 
@@ -144,6 +101,24 @@ class StreamingAssembler {
   std::vector<StreamSegment> segments_;  // Reused across calls.
   std::vector<Hole> holes_;              // Reused across calls.
 };
+
+// A whole template assembled in one call: the body chain plus the
+// assembler's running totals.
+struct AssembledPage {
+  common::BufferChain body;
+  StreamProgress progress;
+
+  // Flattens the chain; for tests, not the wire path.
+  std::string Text() const { return body.Flatten(); }
+};
+
+// One StreamingAssembler Feed of `wire`, then Finish, with no miss
+// resolver: a cold-cache GET fails the call with NotFound. Literals alias
+// `wire`, so the page holds a reference to it. The string_view form copies
+// `wire` into a shared buffer first.
+Result<AssembledPage> AssemblePage(common::Buffer wire, FragmentStore& store);
+Result<AssembledPage> AssemblePage(std::string_view wire,
+                                   FragmentStore& store);
 
 }  // namespace dynaprox::dpc
 

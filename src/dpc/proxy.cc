@@ -760,7 +760,7 @@ http::Response DpcProxy::Proxy(std::unique_ptr<Exchange>& x,
     head.headers.Remove(bem::kTemplateHeader);
     head.headers.Remove("Content-Length");  // The template's, not the page's.
     x->assembler.emplace(
-        store_, options_.scan_strategy,
+        store_,
         [this, exchange = x.get()](const std::vector<bem::DpcKey>& keys) {
           return Recover(*exchange, keys);
         },
@@ -955,7 +955,7 @@ Status DpcProxy::Recover(Exchange& x, std::vector<bem::DpcKey> missing) {
       return Fail(x, Failure::kRecovery,
                   Status::NotFound("refresh answered without a template"));
     }
-    StreamingScanner scanner(options_.scan_strategy);
+    StreamingScanner scanner;
     std::vector<StreamSegment> segments;
     size_t bytes = 0;
     for (bool done = false; !done;) {
@@ -969,7 +969,7 @@ Status DpcProxy::Recover(Exchange& x, std::vector<bem::DpcKey> missing) {
           done ? scanner.Finish(segments) : scanner.Feed(*chunk, segments);
       if (!scanned.ok()) return Fail(x, Failure::kTemplate, scanned);
       for (const StreamSegment& segment : segments) {
-        if (segment.kind != TemplateSegment::Kind::kSet) continue;
+        if (segment.kind != StreamSegment::Kind::kSet) continue;
         DYNAPROX_RETURN_IF_ERROR(store_.Set(
             segment.key, std::make_shared<const std::string>(segment.Text())));
       }

@@ -36,7 +36,6 @@ inline constexpr char kStaleWarning[] = "110 dynaprox \"Response is Stale\"";
 struct ProxyOptions {
   // Slot count; must equal the BEM's capacity.
   bem::DpcKey capacity = 4096;
-  ScanStrategy scan_strategy = ScanStrategy::kMemchr;
   // Retries after a cold-cache GET miss before giving up with 502. With a
   // pooled upstream, a refresh round trip can race a concurrent request
   // whose SET is still in flight and miss again, so allow more than one.

@@ -30,11 +30,11 @@ size_t FindMarker(std::string_view text, size_t from, ScanStrategy strategy) {
   return std::string_view::npos;
 }
 
-// Key validation shared by the buffered and streaming scanners. The hex
-// run must be 1..kMaxKeyHexDigits digits and must not name
-// bem::kInvalidDpcKey: that value is the scanner's own "no key" sentinel
-// and the fragment store rejects it, so a template carrying it is corrupt
-// rather than merely cold.
+// Key validation for 'S'/'G' tags. The hex run must be
+// 1..kMaxKeyHexDigits digits and must not name bem::kInvalidDpcKey: that
+// value is the scanner's own "no key" sentinel and the fragment store
+// rejects it, so a template carrying it is corrupt rather than merely
+// cold.
 Status DecodeKey(std::string_view hex, bem::DpcKey& key) {
   if (hex.empty()) return Status::Corruption("empty dpcKey in tag");
   if (hex.size() > kMaxKeyHexDigits) {
@@ -48,28 +48,14 @@ Status DecodeKey(std::string_view hex, bem::DpcKey& key) {
   return Status::Ok();
 }
 
-// Parses the hex key of an 'S'/'G' tag starting at `hex_begin`; on success
-// sets `key`/`tag_end` (index one past the closing ETX).
-Status ParseKeyTag(std::string_view wire, size_t hex_begin,
-                   bem::DpcKey& key, size_t& tag_end) {
-  size_t etx = wire.find(kEtx, hex_begin);
-  if (etx == std::string_view::npos) {
-    return Status::Corruption("unterminated tag (missing ETX)");
-  }
-  DYNAPROX_RETURN_IF_ERROR(
-      DecodeKey(wire.substr(hex_begin, etx - hex_begin), key));
-  tag_end = etx + 1;
-  return Status::Ok();
-}
-
 bool IsHexDigit(char c) {
   return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
          (c >= 'A' && c <= 'F');
 }
 
-// The one-byte payload a literal-escape tag emits. A streamed escape may
-// resolve after its chunk is gone, so the emitted STX aliases this
-// immortal buffer instead of the wire.
+// The one-byte payload a literal-escape tag emits. An escape may resolve
+// after its chunk is gone, so the emitted STX aliases this immortal buffer
+// instead of the wire.
 const common::Buffer& StxBuffer() {
   static const common::Buffer buffer =
       common::MakeBuffer(std::string(1, kStx));
@@ -77,101 +63,6 @@ const common::Buffer& StxBuffer() {
 }
 
 }  // namespace
-
-Result<std::vector<TemplateSegment>> ParseTemplate(std::string_view wire,
-                                                   ScanStrategy strategy) {
-  std::vector<TemplateSegment> segments;
-  // Views accumulating the current literal run or SET payload. Adjacent
-  // wire ranges merge, so a template without escapes yields exactly one
-  // piece per segment.
-  std::vector<std::string_view> pieces;
-  bool inside_set = false;
-  bem::DpcKey set_key = bem::kInvalidDpcKey;
-
-  auto add_piece = [&](std::string_view piece) {
-    if (piece.empty()) return;
-    if (!pieces.empty() &&
-        pieces.back().data() + pieces.back().size() == piece.data()) {
-      pieces.back() = std::string_view(pieces.back().data(),
-                                       pieces.back().size() + piece.size());
-      return;
-    }
-    pieces.push_back(piece);
-  };
-
-  auto flush_literal = [&]() {
-    if (pieces.empty()) return;
-    segments.push_back({TemplateSegment::Kind::kLiteral, bem::kInvalidDpcKey,
-                        std::move(pieces)});
-    pieces.clear();
-  };
-
-  size_t pos = 0;
-  for (;;) {
-    size_t stx = FindMarker(wire, pos, strategy);
-    if (stx == std::string_view::npos) {
-      add_piece(wire.substr(pos));
-      break;
-    }
-    add_piece(wire.substr(pos, stx - pos));
-    if (stx + 1 >= wire.size()) {
-      return Status::Corruption("truncated tag at end of template");
-    }
-    char marker = wire[stx + 1];
-    switch (marker) {
-      case 'L': {
-        if (stx + 2 >= wire.size() || wire[stx + 2] != kEtx) {
-          return Status::Corruption("malformed literal-escape tag");
-        }
-        // The escape emits one STX byte — which is the tag's own leading
-        // byte, so the emitted byte aliases the wire too.
-        add_piece(wire.substr(stx, 1));
-        pos = stx + 3;
-        break;
-      }
-      case 'S': {
-        if (inside_set) return Status::Corruption("nested SET tag");
-        size_t tag_end = 0;
-        DYNAPROX_RETURN_IF_ERROR(
-            ParseKeyTag(wire, stx + 2, set_key, tag_end));
-        flush_literal();
-        inside_set = true;
-        pos = tag_end;
-        break;
-      }
-      case 'E': {
-        if (!inside_set) return Status::Corruption("SET-end without SET");
-        if (stx + 2 >= wire.size() || wire[stx + 2] != kEtx) {
-          return Status::Corruption("malformed SET-end tag");
-        }
-        segments.push_back(
-            {TemplateSegment::Kind::kSet, set_key, std::move(pieces)});
-        pieces.clear();
-        inside_set = false;
-        set_key = bem::kInvalidDpcKey;
-        pos = stx + 3;
-        break;
-      }
-      case 'G': {
-        if (inside_set) return Status::Corruption("GET tag inside SET");
-        bem::DpcKey key = bem::kInvalidDpcKey;
-        size_t tag_end = 0;
-        DYNAPROX_RETURN_IF_ERROR(ParseKeyTag(wire, stx + 2, key, tag_end));
-        flush_literal();
-        segments.push_back({TemplateSegment::Kind::kGet, key, {}});
-        pos = tag_end;
-        break;
-      }
-      default:
-        return Status::Corruption(std::string("unknown tag marker '") +
-                                  marker + "'");
-    }
-  }
-
-  if (inside_set) return Status::Corruption("unterminated SET block");
-  flush_literal();
-  return segments;
-}
 
 Status StreamingScanner::Fail(Status status) {
   state_ = State::kFailed;
@@ -201,7 +92,7 @@ void StreamingScanner::AddPiece(const common::Buffer& owner,
 void StreamingScanner::FlushLiteral(std::vector<StreamSegment>& out) {
   if (pieces_.empty()) return;
   StreamSegment segment;
-  segment.kind = TemplateSegment::Kind::kLiteral;
+  segment.kind = StreamSegment::Kind::kLiteral;
   segment.pieces = std::move(pieces_);
   pieces_.clear();
   pieces_bytes_ = 0;
@@ -244,7 +135,7 @@ Status StreamingScanner::StepTag(std::vector<StreamSegment>& out) {
         return Fail(Status::Corruption("malformed SET-end tag"));
       }
       StreamSegment segment;
-      segment.kind = TemplateSegment::Kind::kSet;
+      segment.kind = StreamSegment::Kind::kSet;
       segment.key = set_key_;
       segment.pieces = std::move(pieces_);
       pieces_.clear();
@@ -275,7 +166,7 @@ Status StreamingScanner::StepTag(std::vector<StreamSegment>& out) {
         set_key_ = key;
       } else {
         StreamSegment segment;
-        segment.kind = TemplateSegment::Kind::kGet;
+        segment.kind = StreamSegment::Kind::kGet;
         segment.key = key;
         out.push_back(std::move(segment));
       }
@@ -345,6 +236,20 @@ Status StreamingScanner::Finish(std::vector<StreamSegment>& out) {
   FlushLiteral(out);
   state_ = State::kDone;
   return Status::Ok();
+}
+
+Result<std::vector<StreamSegment>> ParseTemplate(common::Buffer wire,
+                                                 ScanStrategy strategy) {
+  StreamingScanner scanner(strategy);
+  std::vector<StreamSegment> segments;
+  DYNAPROX_RETURN_IF_ERROR(scanner.Feed(std::move(wire), segments));
+  DYNAPROX_RETURN_IF_ERROR(scanner.Finish(segments));
+  return segments;
+}
+
+Result<std::vector<StreamSegment>> ParseTemplate(std::string_view wire,
+                                                 ScanStrategy strategy) {
+  return ParseTemplate(common::MakeBuffer(std::string(wire)), strategy);
 }
 
 }  // namespace dynaprox::dpc

@@ -19,81 +19,37 @@ enum class ScanStrategy {
   kByteLoop,
 };
 
-// One parsed piece of a response template. Segments do not own their
-// payload: `pieces` are views into the scanned wire bytes, which must
-// outlive the segment vector (the assembler retains the wire buffer in
-// the page's BufferChain for exactly this reason). A payload is usually
-// one contiguous view; literal-escape tags split it into several, because
-// the escape's own STX byte doubles as the emitted byte — so even escaped
-// output aliases the wire and the scanner never copies or allocates
-// per-byte.
-struct TemplateSegment {
+// One parsed piece of a segment: a view plus the buffer owning its bytes.
+// A segment may span chunk boundaries, so every piece carries its own
+// owner and stays valid after the scanner has moved on to later chunks.
+struct StreamPiece {
+  common::Buffer owner;
+  std::string_view view;
+};
+
+// One parsed piece of a response template. The scanner never copies
+// payload bytes: a payload is one view per chunk it spans, and a
+// literal-escape tag adds a one-byte piece for the STX it emits.
+struct StreamSegment {
   enum class Kind {
     kLiteral,  // Page text to emit verbatim (already unescaped).
     kSet,      // Store the payload under `key`, then emit it.
     kGet,      // Emit the cached fragment stored under `key`.
   };
 
-  Kind kind;
-  bem::DpcKey key = bem::kInvalidDpcKey;
-  std::vector<std::string_view> pieces;  // Empty for kGet.
-
-  // Total payload bytes across pieces.
-  size_t text_size() const {
-    size_t total = 0;
-    for (std::string_view piece : pieces) total += piece.size();
-    return total;
-  }
-
-  // Materializes the payload (tests and fragment-store inserts; the
-  // zero-copy assembly path splices `pieces` directly).
-  std::string Text() const {
-    std::string out;
-    out.reserve(text_size());
-    for (std::string_view piece : pieces) out.append(piece);
-    return out;
-  }
-};
-
-// Longest admissible hex run in an 'S'/'G' tag. DpcKey is 32-bit and
-// bem::TagCodec emits minimal hex, so eight digits suffice; the cap also
-// bounds the streaming scanner's partial-tag stash against hostile
-// zero-padded runs. Shared by ParseTemplate and StreamingScanner so both
-// accept exactly the same templates.
-inline constexpr size_t kMaxKeyHexDigits = 8;
-
-// Parses a BEM-encoded response template (see bem::TagCodec for the wire
-// grammar) into segments viewing `wire`. Fails with Corruption on
-// malformed input: truncated tags, unknown markers, bad hex keys (empty
-// runs, runs over kMaxKeyHexDigits, or the reserved bem::kInvalidDpcKey,
-// which doubles as the "no key" sentinel downstream), SET without
-// matching end, nested SET, or GET inside SET.
-Result<std::vector<TemplateSegment>> ParseTemplate(
-    std::string_view wire, ScanStrategy strategy = ScanStrategy::kMemchr);
-
-// One parsed piece of a streamed segment: a view plus the buffer owning
-// its bytes. Unlike the buffered TemplateSegment, whose views all alias
-// one wire buffer the caller retains, a streamed segment may span chunk
-// boundaries — so every piece carries its own owner and stays valid after
-// the scanner has moved on to later chunks.
-struct StreamPiece {
-  common::Buffer owner;
-  std::string_view view;
-};
-
-// One segment emitted by StreamingScanner. Same meaning as
-// TemplateSegment; pieces own their backing chunks (see StreamPiece).
-struct StreamSegment {
-  TemplateSegment::Kind kind = TemplateSegment::Kind::kLiteral;
+  Kind kind = Kind::kLiteral;
   bem::DpcKey key = bem::kInvalidDpcKey;
   std::vector<StreamPiece> pieces;  // Empty for kGet.
 
+  // Total payload bytes across pieces.
   size_t text_size() const {
     size_t total = 0;
     for (const StreamPiece& piece : pieces) total += piece.view.size();
     return total;
   }
 
+  // Materializes the payload (SET stores and tests; the assembler splices
+  // literal pieces directly).
   std::string Text() const {
     std::string out;
     out.reserve(text_size());
@@ -102,17 +58,25 @@ struct StreamSegment {
   }
 };
 
-// Resumable counterpart of ParseTemplate for templates arriving in
-// chunks. Feed() emits every segment the moment it resolves: literal text
-// flushes at each chunk boundary (where a buffered parse would merge
-// adjacent runs into one segment — fold adjacent literals when comparing
-// the two), a GET when its ETX arrives, a SET when its body closes. State
-// carried across boundaries is bounded: a partial tag is at most
+// Longest admissible hex run in an 'S'/'G' tag. DpcKey is 32-bit and
+// bem::TagCodec emits minimal hex, so eight digits suffice; the cap also
+// bounds the scanner's partial-tag stash against hostile zero-padded runs.
+inline constexpr size_t kMaxKeyHexDigits = 8;
+
+// The DPC's one decoder for BEM-encoded response templates (see
+// bem::TagCodec for the wire grammar), resumable across chunks. Feed()
+// emits every segment the moment it resolves: literal text flushes at
+// each chunk boundary (fold adjacent literals when comparing chunkings),
+// a GET when its ETX arrives, a SET when its body closes. State carried
+// across boundaries is bounded: a partial tag is at most
 // 2 + kMaxKeyHexDigits + 1 bytes, and an open SET body accumulates only
 // until its SET-end — so holdback is chunk + open-SET sized, never page
-// sized. Accepts exactly the template language ParseTemplate accepts
-// (error messages may differ for truncation, accept/reject never does).
+// sized.
 //
+// Fails with Corruption on malformed input: truncated tags, unknown
+// markers, bad hex keys (empty runs, runs over kMaxKeyHexDigits, or the
+// reserved bem::kInvalidDpcKey, which doubles as the "no key" sentinel
+// downstream), SET without matching end, nested SET, or GET inside SET.
 // After an error the scanner is dead: every later Feed()/Finish() returns
 // the same failure. Call Finish() exactly once, after the last chunk.
 class StreamingScanner {
@@ -160,6 +124,14 @@ class StreamingScanner {
   size_t pieces_bytes_ = 0;
   Status failure_ = Status::Ok();
 };
+
+// A whole template in one call: one StreamingScanner Feed of `wire`, then
+// Finish. The segments hold references to `wire`. The string_view form
+// copies `wire` into a shared buffer first.
+Result<std::vector<StreamSegment>> ParseTemplate(
+    common::Buffer wire, ScanStrategy strategy = ScanStrategy::kMemchr);
+Result<std::vector<StreamSegment>> ParseTemplate(
+    std::string_view wire, ScanStrategy strategy = ScanStrategy::kMemchr);
 
 }  // namespace dynaprox::dpc
 

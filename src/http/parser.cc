@@ -49,22 +49,21 @@ bool IsChunked(const HeaderMap& headers) {
          EqualsIgnoreCase(StripWhitespace(*field), "chunked");
 }
 
-// Attempts to decode a chunked body starting at `wire[offset]`.
+// Decodes the chunked body framed in `wire` from `pos` on, appending each
+// complete chunk's payload to `body` and moving `pos` past it, so a caller
+// holding an incomplete message resumes where it stopped.
 // Returns:
-//   ok(true)  — complete; `body` holds the joined payload and `consumed`
-//               the total encoded length (incl. terminator and trailers).
-//   ok(false) — more bytes needed; `body` holds the chunks decoded so
-//               far and `pending_declared` the size of a declared but
-//               not yet fully delivered chunk (0 if none), so callers
-//               can enforce body caps on exactly the payload bytes the
-//               stream is committed to.
+//   ok(true)  — complete; `pos` is one past the terminator and trailers.
+//   ok(false) — more bytes needed; `pos` is at the first chunk not yet
+//               decoded (an incomplete trailer section is re-read from
+//               its zero-size chunk line) and `pending_declared` the size
+//               of a declared but not yet fully delivered chunk (0 if
+//               none), so callers can enforce body caps on exactly the
+//               payload bytes the stream is committed to.
 //   error     — malformed framing.
-Result<bool> TryDecodeChunked(std::string_view wire, size_t offset,
-                              std::string& body, size_t& consumed,
-                              size_t& pending_declared) {
-  body.clear();
+Result<bool> TryDecodeChunked(std::string_view wire, size_t& pos,
+                              std::string& body, size_t& pending_declared) {
   pending_declared = 0;
-  size_t pos = offset;
   for (;;) {
     size_t line_end = wire.find("\r\n", pos);
     if (line_end == std::string_view::npos) return false;
@@ -78,29 +77,29 @@ Result<bool> TryDecodeChunked(std::string_view wire, size_t offset,
     if (!chunk_size.ok()) {
       return Status::InvalidArgument("bad chunk size line");
     }
-    pos = line_end + 2;
+    size_t data = line_end + 2;
     if (*chunk_size == 0) {
       // Trailer section: zero or more header lines, then a blank line.
       for (;;) {
-        size_t trailer_end = wire.find("\r\n", pos);
+        size_t trailer_end = wire.find("\r\n", data);
         if (trailer_end == std::string_view::npos) return false;
-        if (trailer_end == pos) {  // Blank line: done.
-          consumed = trailer_end + 2 - offset;
+        if (trailer_end == data) {  // Blank line: done.
+          pos = trailer_end + 2;
           return true;
         }
-        pos = trailer_end + 2;
+        data = trailer_end + 2;
       }
     }
-    if (wire.size() < pos + *chunk_size + 2) {
+    if (wire.size() - data < 2 || *chunk_size > wire.size() - data - 2) {
       pending_declared = static_cast<size_t>(*chunk_size);
       return false;
     }
-    body.append(wire.substr(pos, *chunk_size));
-    pos += *chunk_size;
-    if (wire.compare(pos, 2, "\r\n") != 0) {
+    body.append(wire.substr(data, *chunk_size));
+    data += *chunk_size;
+    if (wire.compare(data, 2, "\r\n") != 0) {
       return Status::InvalidArgument("chunk data not CRLF-terminated");
     }
-    pos += 2;
+    pos = data + 2;
   }
 }
 
@@ -169,13 +168,12 @@ Result<Message> ParseComplete(std::string_view wire, HeadParser parse_head) {
   DYNAPROX_RETURN_IF_ERROR(parse_head(wire.substr(0, header_end), message));
 
   if (IsChunked(message.headers)) {
-    size_t consumed = 0;
+    size_t end = header_end + 4;
     size_t pending = 0;
     Result<bool> complete =
-        TryDecodeChunked(wire, header_end + 4, message.body, consumed,
-                         pending);
+        TryDecodeChunked(wire, end, message.body, pending);
     if (!complete.ok()) return complete.status();
-    if (!*complete || header_end + 4 + consumed != wire.size()) {
+    if (!*complete || end != wire.size()) {
       return Status::InvalidArgument("chunked body truncated or trailing");
     }
     Dechunk(message.headers, message.body.size());
@@ -222,6 +220,7 @@ Result<Message> MessageReader<Message>::FailLimit(LimitViolation violation,
   failed_ = true;
   violation_ = violation;
   buffer_.clear();  // The stream is dead; don't hold the hostile bytes.
+  chunked_ = {};
   return Result<Message>(Status::CapacityExceeded(std::move(message)));
 }
 
@@ -266,12 +265,17 @@ std::optional<Result<Message>> MessageReader<Message>::Next() {
     return Result<Message>(head_status);
   }
   if (IsChunked(message.headers)) {
-    size_t consumed = 0;
+    // Framing resumes where the previous call stopped: decoding from the
+    // first body byte on every call would make a body of n small chunks
+    // cost O(n^2).
+    size_t pos = header_end + 4 + chunked_.resume;
     size_t pending = 0;
-    Result<bool> complete = TryDecodeChunked(buffer_, header_end + 4,
-                                             message.body, consumed, pending);
+    Result<bool> complete =
+        TryDecodeChunked(buffer_, pos, chunked_.body, pending);
+    chunked_.resume = pos - header_end - 4;
     if (!complete.ok()) {
       failed_ = true;
+      chunked_ = {};
       return Result<Message>(complete.status());
     }
     if (limits_.max_body_bytes != 0) {
@@ -284,7 +288,8 @@ std::optional<Result<Message>> MessageReader<Message>::Next() {
       // endless chunk-size line or trailer section); 8x covers the
       // worst legitimate expansion of 1-byte chunks (6 bytes each).
       size_t encoded = buffer_.size() - header_end - 4;
-      if (message.body.size() + pending > limits_.max_body_bytes ||
+      if (pending > limits_.max_body_bytes ||
+          chunked_.body.size() > limits_.max_body_bytes - pending ||
           (!*complete && encoded > 8 * limits_.max_body_bytes + 4096)) {
         return FailLimit(LimitViolation::kBodyBytes,
                          "chunked body exceeds " +
@@ -293,8 +298,10 @@ std::optional<Result<Message>> MessageReader<Message>::Next() {
       }
     }
     if (!*complete) return std::nullopt;  // Await more bytes.
+    message.body = std::move(chunked_.body);
+    chunked_ = {};
     Dechunk(message.headers, message.body.size());
-    buffer_.erase(0, header_end + 4 + consumed);
+    buffer_.erase(0, pos);
     return Result<Message>(std::move(message));
   }
 

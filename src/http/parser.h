@@ -155,6 +155,12 @@ class MessageReader {
   Result<Message> FailLimit(LimitViolation violation, std::string message);
 
   std::string buffer_;
+  // Progress through a chunked body still arriving: the payload decoded
+  // so far, and how far into the encoded body framing resumes.
+  struct {
+    std::string body;
+    size_t resume = 0;
+  } chunked_;
   Limits limits_;
   bool failed_ = false;
   LimitViolation violation_ = LimitViolation::kNone;

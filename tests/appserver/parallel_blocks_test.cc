@@ -128,8 +128,8 @@ TEST(ParallelBlocksTest, AssembledPagePreservesTagOrder) {
   EXPECT_EQ(page->Text(),
             "<header>slow-content<mid1>hot-content<mid2>fast-content"
             "<mid3>tail-content<footer>");
-  EXPECT_EQ(page->set_count, 3u);
-  EXPECT_EQ(page->get_count, 1u);
+  EXPECT_EQ(page->progress.set_count, 3u);
+  EXPECT_EQ(page->progress.get_count, 1u);
 }
 
 TEST(ParallelBlocksTest, DuplicateFragmentRunsGeneratorOnceAndEmitsGet) {
@@ -174,8 +174,8 @@ TEST(ParallelBlocksTest, DuplicateFragmentRunsGeneratorOnceAndEmitsGet) {
   Result<dpc::AssembledPage> assembled = dpc::AssemblePage(parallel, store);
   ASSERT_TRUE(assembled.ok());
   EXPECT_EQ(assembled->Text(), "dup-content<between>dup-content");
-  EXPECT_EQ(assembled->set_count, 1u);
-  EXPECT_EQ(assembled->get_count, 1u);
+  EXPECT_EQ(assembled->progress.set_count, 1u);
+  EXPECT_EQ(assembled->progress.get_count, 1u);
 }
 
 TEST(ParallelBlocksTest, FailingGeneratorSurfacesFromFinishBlocks) {
@@ -256,7 +256,7 @@ TEST(ParallelBlocksTest, ForcedMissRunsGeneratorInParallelMode) {
   Result<dpc::AssembledPage> page = dpc::AssemblePage(response.body, store);
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page->Text(), "fresh");
-  EXPECT_EQ(page->set_count, 1u);
+  EXPECT_EQ(page->progress.set_count, 1u);
 }
 
 }  // namespace

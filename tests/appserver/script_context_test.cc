@@ -62,7 +62,7 @@ TEST(ScriptContextTest, MissEmitsSetAndRegisters) {
   Result<dpc::AssembledPage> page = dpc::AssemblePage(response.body, store);
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page->Text(), "content");
-  EXPECT_EQ(page->set_count, 1u);
+  EXPECT_EQ(page->progress.set_count, 1u);
   EXPECT_TRUE(monitor->LookupFragment(bem::FragmentId("f")).hit());
 }
 
@@ -90,7 +90,7 @@ TEST(ScriptContextTest, HitEmitsGetWithoutRunningGenerator) {
   Result<dpc::AssembledPage> page = dpc::AssemblePage(response.body, store);
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page->Text(), "cached-content");
-  EXPECT_EQ(page->get_count, 1u);
+  EXPECT_EQ(page->progress.get_count, 1u);
 }
 
 TEST(ScriptContextTest, GeneratorFailurePropagatesAndCachesNothing) {

@@ -28,6 +28,10 @@ std::string OracleLiteral(std::string_view text) {
   return out;
 }
 
+std::string OracleGet(DpcKey key) {
+  return std::string("\x02G") + ToHex(key) + "\x03";
+}
+
 std::string OracleSet(DpcKey key, std::string_view content) {
   return std::string("\x02S") + ToHex(key) + "\x03" + OracleLiteral(content) +
          "\x02" "E\x03";
@@ -92,6 +96,24 @@ TEST(TagCodecTest, SetMatchesByteOracle) {
     ASSERT_EQ(out, "prefix" + OracleSet(key, input))
         << "input of " << input.size() << " bytes, key " << key;
     key = key * 7 + 13;
+  }
+}
+
+TEST(TagCodecTest, GetAndTagSizeMatchByteOracle) {
+  // Every hex width from one digit to the widest admissible key, at both
+  // edges of each width.
+  std::vector<DpcKey> keys;
+  for (int digits = 1; digits <= 8; ++digits) {
+    keys.push_back(digits == 1 ? 0 : DpcKey{1} << (4 * (digits - 1)));
+    keys.push_back(digits == 8 ? 0xFFFFFFFE
+                               : (DpcKey{1} << (4 * digits)) - 1);
+  }
+  for (DpcKey key : keys) {
+    std::string out = "prefix";
+    TagCodec::AppendGet(key, out);
+    ASSERT_EQ(out, "prefix" + OracleGet(key)) << "key " << key;
+    EXPECT_EQ(TagCodec::GetTagSize(key), OracleGet(key).size())
+        << "key " << key;
   }
 }
 

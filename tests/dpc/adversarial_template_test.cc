@@ -25,7 +25,7 @@ std::string Stx(std::string_view rest) {
 void ExpectCorrupt(const std::string& wire) {
   for (ScanStrategy strategy :
        {ScanStrategy::kMemchr, ScanStrategy::kByteLoop}) {
-    Result<std::vector<TemplateSegment>> parsed =
+    Result<std::vector<StreamSegment>> parsed =
         ParseTemplate(wire, strategy);
     EXPECT_FALSE(parsed.ok()) << "accepted: " << wire;
     if (!parsed.ok()) {
@@ -66,6 +66,7 @@ TEST(AdversarialTemplateTest, GetInsideSet) {
   std::string wire = Stx("S1") + std::string(1, kEtx) + "frag" +
                      Stx("G2") + std::string(1, kEtx);
   ExpectCorrupt(wire);
+  ExpectCorrupt(wire + Stx("E") + std::string(1, kEtx));  // SET closed.
 }
 
 TEST(AdversarialTemplateTest, SetEndWithoutSetOpen) {
@@ -132,7 +133,7 @@ TEST(AdversarialTemplateTest, DeepAlternationStaysLinear) {
     wire += escape;
     wire += 'a';
   }
-  Result<std::vector<TemplateSegment>> parsed = ParseTemplate(wire);
+  Result<std::vector<StreamSegment>> parsed = ParseTemplate(wire);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->size(), 1u);
   EXPECT_EQ((*parsed)[0].text_size(), 10000u);
@@ -144,14 +145,14 @@ TEST(AdversarialTemplateTest, ValidTemplateStillParses) {
   bem::TagCodec::AppendLiteral("hello ", wire);
   bem::TagCodec::AppendSet(7, "cached\x02world", wire);
   bem::TagCodec::AppendGet(9, wire);
-  Result<std::vector<TemplateSegment>> parsed = ParseTemplate(wire);
+  Result<std::vector<StreamSegment>> parsed = ParseTemplate(wire);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->size(), 3u);
-  EXPECT_EQ((*parsed)[0].kind, TemplateSegment::Kind::kLiteral);
-  EXPECT_EQ((*parsed)[1].kind, TemplateSegment::Kind::kSet);
+  EXPECT_EQ((*parsed)[0].kind, StreamSegment::Kind::kLiteral);
+  EXPECT_EQ((*parsed)[1].kind, StreamSegment::Kind::kSet);
   EXPECT_EQ((*parsed)[1].key, 7u);
   EXPECT_EQ((*parsed)[1].Text(), "cached\x02world");
-  EXPECT_EQ((*parsed)[2].kind, TemplateSegment::Kind::kGet);
+  EXPECT_EQ((*parsed)[2].kind, StreamSegment::Kind::kGet);
   EXPECT_EQ((*parsed)[2].key, 9u);
 }
 

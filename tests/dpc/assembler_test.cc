@@ -15,9 +15,8 @@ TEST(AssemblerTest, SetStoresAndInlinesContent) {
   Result<AssembledPage> page = AssemblePage(wire, store);
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page->Text(), "AfragB");
-  EXPECT_EQ(page->set_count, 1u);
-  EXPECT_EQ(page->get_count, 0u);
-  EXPECT_TRUE(page->complete());
+  EXPECT_EQ(page->progress.set_count, 1u);
+  EXPECT_EQ(page->progress.get_count, 0u);
   EXPECT_EQ(**store.Get(1), "frag");
 }
 
@@ -30,7 +29,7 @@ TEST(AssemblerTest, GetSplicesStoredContent) {
   Result<AssembledPage> page = AssemblePage(wire, store);
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page->Text(), "[cached!]");
-  EXPECT_EQ(page->get_count, 1u);
+  EXPECT_EQ(page->progress.get_count, 1u);
 }
 
 TEST(AssemblerTest, SetThenGetWithinOneTemplate) {
@@ -45,19 +44,15 @@ TEST(AssemblerTest, SetThenGetWithinOneTemplate) {
   EXPECT_EQ(page->Text(), "xx");
 }
 
-TEST(AssemblerTest, MissingFragmentReported) {
+TEST(AssemblerTest, MissingFragmentIsNotFound) {
+  // No miss resolver: a cold-cache GET fails the page instead of leaving
+  // a hole in it.
   FragmentStore store(4);
   std::string wire = "a";
   bem::TagCodec::AppendGet(3, wire);
-  bem::TagCodec::AppendGet(1, wire);
   wire += "b";
   Result<AssembledPage> page = AssemblePage(wire, store);
-  ASSERT_TRUE(page.ok());
-  EXPECT_FALSE(page->complete());
-  ASSERT_EQ(page->missing_keys.size(), 2u);
-  EXPECT_EQ(page->missing_keys[0], 3u);
-  EXPECT_EQ(page->missing_keys[1], 1u);
-  EXPECT_EQ(page->Text(), "ab");  // Missing fragments contribute nothing.
+  EXPECT_TRUE(page.status().IsNotFound()) << page.status().ToString();
 }
 
 TEST(AssemblerTest, OutOfRangeKeyIsError) {
@@ -144,8 +139,9 @@ TEST(AssemblerTest, CopyAccountingSeparatesSetsFromSplices) {
   Result<AssembledPage> page = AssemblePage(wire, store);
   ASSERT_TRUE(page.ok());
   // Only the SET body is materialized; literals and GETs are referenced.
-  EXPECT_EQ(page->bytes_copied, 5u);            // "fresh"
-  EXPECT_EQ(page->bytes_referenced, 4u + 11u);  // "lit:" + "cached-frag"
+  EXPECT_EQ(page->progress.bytes_copied, 5u);  // "fresh"
+  // "lit:" + "cached-frag"
+  EXPECT_EQ(page->progress.bytes_referenced, 4u + 11u);
 }
 
 TEST(AssemblerTest, PageSurvivesStoreEviction) {
@@ -168,8 +164,8 @@ TEST(AssemblerTest, LiteralsAliasTheWireBuffer) {
   ASSERT_TRUE(page.ok());
   ASSERT_EQ(page->body.slice_count(), 1u);
   EXPECT_EQ(page->body.slices()[0].data, wire->data());
-  EXPECT_EQ(page->bytes_referenced, wire->size());
-  EXPECT_EQ(page->bytes_copied, 0u);
+  EXPECT_EQ(page->progress.bytes_referenced, wire->size());
+  EXPECT_EQ(page->progress.bytes_copied, 0u);
 }
 
 }  // namespace

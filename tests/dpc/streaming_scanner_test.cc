@@ -1,13 +1,16 @@
 // Adversarial split-boundary suite for the streaming scan-and-splice
-// pipeline: StreamingScanner must accept exactly the template language
-// ParseTemplate accepts and produce the same segment stream, no matter
-// where the network happens to slice the bytes. Every template in the
-// corpus below is replayed (a) one byte per Feed and (b) split into two
-// chunks at every byte boundary, so a tag marker, hex key, ETX, SET end,
-// or literal escape landing astride a read boundary is exercised for
-// every position. StreamingAssembler rides the same corpus and must emit
-// the buffered AssemblePage bytes exactly.
+// pipeline. Every accepted template in the corpus below is built from its
+// segments with bem::TagCodec, and the scanner must hand exactly those
+// segments back no matter where the network happens to slice the bytes;
+// every hostile template must be rejected under every slicing. Each is
+// replayed (a) one byte per Feed, (b) split into two chunks at every byte
+// boundary, (c) in random chunkings and (d) whole through ParseTemplate,
+// so a tag marker, hex key, ETX, SET end, or literal escape landing astride
+// a read boundary is exercised for every position. The StreamingAssembler
+// tests below check that chunked assembly emits the whole-template page
+// bytes exactly.
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,12 +28,11 @@
 namespace dynaprox::dpc {
 namespace {
 
-using Kind = TemplateSegment::Kind;
+using Kind = StreamSegment::Kind;
 
-// A buffered parse merges adjacent literal runs into one segment; the
-// streaming scanner flushes a literal at each chunk boundary. Folding
-// adjacent literals (and dropping empty ones) gives the canonical stream
-// both must agree on.
+// The scanner flushes a literal at each chunk boundary. Folding adjacent
+// literals (and dropping empty ones) gives the canonical stream every
+// chunking must agree on.
 struct NormSegment {
   Kind kind;
   bem::DpcKey key;
@@ -41,39 +43,55 @@ struct NormSegment {
   }
 };
 
-void FoldLiteral(std::vector<NormSegment>& out, std::string text) {
-  if (text.empty()) return;
-  if (!out.empty() && out.back().kind == Kind::kLiteral) {
-    out.back().text += text;
-    return;
-  }
-  out.push_back({Kind::kLiteral, bem::kInvalidDpcKey, std::move(text)});
-}
-
-std::vector<NormSegment> Normalize(
-    const std::vector<TemplateSegment>& segments) {
-  std::vector<NormSegment> out;
-  for (const TemplateSegment& segment : segments) {
-    if (segment.kind == Kind::kLiteral) {
-      FoldLiteral(out, segment.Text());
-    } else {
-      out.push_back({segment.kind, segment.key, segment.Text()});
-    }
-  }
-  return out;
-}
-
 std::vector<NormSegment> Normalize(
     const std::vector<StreamSegment>& segments) {
   std::vector<NormSegment> out;
   for (const StreamSegment& segment : segments) {
-    if (segment.kind == Kind::kLiteral) {
-      FoldLiteral(out, segment.Text());
-    } else {
+    if (segment.kind != Kind::kLiteral) {
       out.push_back({segment.kind, segment.key, segment.Text()});
+    } else if (segment.text_size() == 0) {
+      continue;
+    } else if (!out.empty() && out.back().kind == Kind::kLiteral) {
+      out.back().text += segment.Text();
+    } else {
+      out.push_back({Kind::kLiteral, bem::kInvalidDpcKey, segment.Text()});
     }
   }
   return out;
+}
+
+NormSegment Literal(std::string text) {
+  return {Kind::kLiteral, bem::kInvalidDpcKey, std::move(text)};
+}
+NormSegment Set(bem::DpcKey key, std::string text) {
+  return {Kind::kSet, key, std::move(text)};
+}
+NormSegment Get(bem::DpcKey key) { return {Kind::kGet, key, ""}; }
+
+// One corpus template: its wire bytes and, when the grammar accepts it,
+// the folded segments it encodes.
+struct CorpusCase {
+  std::string wire;
+  std::optional<std::vector<NormSegment>> segments;  // nullopt = reject.
+};
+
+// Encodes folded `segments` the way the BEM writes templates.
+CorpusCase Encode(std::vector<NormSegment> segments) {
+  std::string wire;
+  for (const NormSegment& segment : segments) {
+    switch (segment.kind) {
+      case Kind::kLiteral:
+        bem::TagCodec::AppendLiteral(segment.text, wire);
+        break;
+      case Kind::kSet:
+        bem::TagCodec::AppendSet(segment.key, segment.text, wire);
+        break;
+      case Kind::kGet:
+        bem::TagCodec::AppendGet(segment.key, wire);
+        break;
+    }
+  }
+  return {std::move(wire), std::move(segments)};
 }
 
 // Runs a fresh StreamingScanner over `wire` sliced into `chunks`
@@ -101,114 +119,102 @@ std::vector<std::string> ByteAtATime(std::string_view wire) {
 // The template corpus: every shape the grammar admits plus every
 // rejection class, mirroring fuzz/corpus/template. Hostile cases are
 // expected to fail identically under any chunking.
-std::vector<std::string> CorpusTemplates() {
-  std::vector<std::string> corpus;
-  corpus.push_back("");                        // Empty template.
-  corpus.push_back("<html>plain text</html>"); // Literal only.
-  {
-    std::string wire;  // SET alone.
-    bem::TagCodec::AppendSet(0x2A, "fragment body", wire);
-    corpus.push_back(wire);
-  }
-  {
-    std::string wire;  // SET then GET of the same key.
-    bem::TagCodec::AppendSet(7, "cached", wire);
-    bem::TagCodec::AppendLiteral("-mid-", wire);
-    bem::TagCodec::AppendGet(7, wire);
-    corpus.push_back(wire);
-  }
-  {
-    std::string wire;  // Escaped STX/ETX in literal and SET body.
-    bem::TagCodec::AppendLiteral("a\x02b\x03c", wire);
-    bem::TagCodec::AppendSet(1, "x\x02y", wire);
-    bem::TagCodec::AppendGet(1, wire);
-    corpus.push_back(wire);
-  }
-  {
-    std::string wire;  // Widest admissible key (8 hex digits, not the
-                       // sentinel) and a one-digit key.
-    bem::TagCodec::AppendSet(0xFFFFFFFE, "wide", wire);
-    bem::TagCodec::AppendGet(0xFFFFFFFE, wire);
-    bem::TagCodec::AppendGet(0x1, wire);
-    corpus.push_back(wire);
-  }
-  {
-    std::string wire;  // Adjacent SET blocks, empty SET body.
-    bem::TagCodec::AppendSet(1, "", wire);
-    bem::TagCodec::AppendSet(2, "two", wire);
-    corpus.push_back(wire);
-  }
+std::vector<CorpusCase> Corpus() {
+  std::vector<CorpusCase> corpus = {
+      Encode({}),                                     // Empty template.
+      Encode({Literal("<html>plain text</html>")}),   // Literal only.
+      Encode({Set(0x2A, "fragment body")}),           // SET alone.
+      Encode({Set(7, "cached"), Literal("-mid-"), Get(7)}),
+      // Escaped STX in literal and SET body (ETX needs no escape), and
+      // escapes back to back at a literal's edges.
+      Encode({Literal("a\x02" "b\x03" "c"), Set(1, "x\x02y"), Get(1)}),
+      Encode({Literal("\x02\x02"), Get(3), Literal("\x02")}),
+      // Widest admissible key (8 hex digits, not the sentinel) and a
+      // one-digit key.
+      Encode({Set(0xFFFFFFFE, "wide"), Get(0xFFFFFFFE), Get(0x1)}),
+      // Adjacent SET blocks, empty SET body.
+      Encode({Set(1, ""), Set(2, "two")}),
+  };
   // Rejection classes (same bytes as the adversarial suite).
-  corpus.push_back("\x02");                           // Bare STX at EOF.
-  corpus.push_back("abc\x02S1A");                     // Truncated SET open.
-  corpus.push_back("\x02S2A\x03 dangling set body");  // Unterminated SET.
-  corpus.push_back("\x02G1F trailing, no ETX");       // GET missing ETX.
-  corpus.push_back("\x02S1\x03 a\x02S2\x03 b");       // Nested SET.
-  corpus.push_back("\x02S1\x03 a\x02G2\x03");         // GET inside SET.
-  corpus.push_back("\x02" "E\x03");                   // SET end, no open.
-  corpus.push_back("\x02Q\x03");                      // Unknown marker.
-  corpus.push_back("\x02Gzz\x03");                    // Non-hex key.
-  corpus.push_back("\x02G\x03");                      // Empty key.
-  corpus.push_back("\x02G1ffffffff\x03");             // Key over 32 bits.
-  corpus.push_back("\x02GFFFFFFFF\x03");              // Sentinel key.
-  corpus.push_back("\x02SFFFFFFFF\x03");              // Sentinel SET key.
-  corpus.push_back("\x02G000000001\x03");             // Zero-padded run.
-  corpus.push_back("\x02L");                          // Truncated escape.
-  corpus.push_back("\x02Lx");                         // Bad escape byte.
+  for (const char* hostile : {
+           "\x02",                           // Bare STX at EOF.
+           "abc\x02S1A",                     // Truncated SET open.
+           "\x02S2A\x03 dangling set body",  // Unterminated SET.
+           "\x02G1F trailing, no ETX",       // GET missing ETX.
+           "\x02S1\x03 a\x02S2\x03 b",       // Nested SET.
+           "\x02S1\x03 a\x02G2\x03",         // GET inside SET.
+           // The same two inside SETs that do close.
+           "\x02S1\x03 a\x02S2\x03 b\x02" "E\x03\x02" "E\x03",
+           "\x02S1\x03 a\x02G2\x03\x02" "E\x03",
+           "\x02" "E\x03",                   // SET end, no open.
+           "\x02Q\x03",                      // Unknown marker.
+           "\x02Gzz\x03",                    // Non-hex key.
+           "\x02G\x03",                      // Empty key.
+           "\x02G1ffffffff\x03",             // Key over 32 bits.
+           "\x02GFFFFFFFF\x03",              // Sentinel key.
+           "\x02SFFFFFFFF\x03",              // Sentinel SET key.
+           "\x02G000000001\x03",             // Zero-padded run.
+           "\x02L",                          // Truncated escape.
+           "\x02Lx",                         // Bad escape byte.
+       }) {
+    corpus.push_back({hostile, std::nullopt});
+  }
   return corpus;
 }
 
 class StreamingScannerTest : public ::testing::TestWithParam<ScanStrategy> {
  protected:
-  void ExpectEquivalent(std::string_view wire,
-                        const std::vector<std::string>& chunks,
-                        const char* how) {
-    Result<std::vector<TemplateSegment>> buffered =
-        ParseTemplate(wire, GetParam());
-    Result<std::vector<StreamSegment>> streamed =
-        ScanChunked(chunks, GetParam());
-    ASSERT_EQ(buffered.ok(), streamed.ok())
-        << how << " diverged on acceptance for: "
-        << testing::PrintToString(std::string(wire))
-        << " buffered=" << buffered.status().ToString()
-        << " streamed=" << streamed.status().ToString();
-    if (!buffered.ok()) {
-      // Accept/reject must agree; the exact truncation message may not.
-      EXPECT_EQ(streamed.status().code(), StatusCode::kCorruption) << how;
+  void ExpectDecodes(const CorpusCase& corpus_case,
+                     const Result<std::vector<StreamSegment>>& scanned,
+                     const std::string& how) {
+    const std::string printed = testing::PrintToString(corpus_case.wire);
+    if (!corpus_case.segments.has_value()) {
+      ASSERT_FALSE(scanned.ok()) << how << " accepted: " << printed;
+      EXPECT_EQ(scanned.status().code(), StatusCode::kCorruption) << how;
       return;
     }
-    EXPECT_TRUE(Normalize(*buffered) == Normalize(*streamed))
-        << how << " diverged on segments for: "
-        << testing::PrintToString(std::string(wire));
+    ASSERT_TRUE(scanned.ok()) << how << " rejected: " << printed << " "
+                              << scanned.status().ToString();
+    EXPECT_TRUE(Normalize(*scanned) == *corpus_case.segments)
+        << how << " diverged on segments for: " << printed;
+  }
+
+  void ExpectDecodes(const CorpusCase& corpus_case,
+                     const std::vector<std::string>& chunks,
+                     const std::string& how) {
+    ExpectDecodes(corpus_case, ScanChunked(chunks, GetParam()), how);
   }
 };
 
-TEST_P(StreamingScannerTest, EverySingleByteChunkingMatchesBuffered) {
-  for (const std::string& wire : CorpusTemplates()) {
-    ExpectEquivalent(wire, ByteAtATime(wire), "byte-at-a-time");
+TEST_P(StreamingScannerTest, EverySingleByteChunkingDecodesTheEncoding) {
+  for (const CorpusCase& corpus_case : Corpus()) {
+    ExpectDecodes(corpus_case, ByteAtATime(corpus_case.wire),
+                  "byte-at-a-time");
   }
 }
 
-TEST_P(StreamingScannerTest, EveryTwoChunkSplitMatchesBuffered) {
-  for (const std::string& wire : CorpusTemplates()) {
+TEST_P(StreamingScannerTest, EveryTwoChunkSplitDecodesTheEncoding) {
+  for (const CorpusCase& corpus_case : Corpus()) {
+    const std::string& wire = corpus_case.wire;
     for (size_t split = 0; split <= wire.size(); ++split) {
-      std::vector<std::string> chunks = {wire.substr(0, split),
-                                         wire.substr(split)};
-      ExpectEquivalent(wire, chunks,
-                       ("split@" + std::to_string(split)).c_str());
+      ExpectDecodes(corpus_case, {wire.substr(0, split), wire.substr(split)},
+                    "split@" + std::to_string(split));
     }
   }
 }
 
-TEST_P(StreamingScannerTest, WholeTemplateInOneFeedMatchesBuffered) {
-  for (const std::string& wire : CorpusTemplates()) {
-    ExpectEquivalent(wire, {wire}, "one-chunk");
+TEST_P(StreamingScannerTest, WholeTemplateDecodesTheEncoding) {
+  for (const CorpusCase& corpus_case : Corpus()) {
+    ExpectDecodes(corpus_case, {corpus_case.wire}, "one-chunk");
+    ExpectDecodes(corpus_case, ParseTemplate(corpus_case.wire, GetParam()),
+                  "ParseTemplate");
   }
 }
 
-TEST_P(StreamingScannerTest, RandomChunkingsMatchBuffered) {
+TEST_P(StreamingScannerTest, RandomChunkingsDecodeTheEncoding) {
   Rng rng(0x5EED5EEDu);
-  for (const std::string& wire : CorpusTemplates()) {
+  for (const CorpusCase& corpus_case : Corpus()) {
+    const std::string& wire = corpus_case.wire;
     for (int round = 0; round < 20; ++round) {
       std::vector<std::string> chunks;
       size_t at = 0;
@@ -218,7 +224,7 @@ TEST_P(StreamingScannerTest, RandomChunkingsMatchBuffered) {
         chunks.push_back(wire.substr(at, take));
         at += take;
       }
-      ExpectEquivalent(wire, chunks, "random-chunking");
+      ExpectDecodes(corpus_case, chunks, "random-chunking");
     }
   }
 }
@@ -298,8 +304,7 @@ std::string AssembleChunked(const std::string& wire, FragmentStore& store,
                             size_t chunk_size,
                             StreamingAssembler::MissResolver resolver,
                             Status* status_out = nullptr) {
-  StreamingAssembler assembler(store, ScanStrategy::kMemchr,
-                               std::move(resolver));
+  StreamingAssembler assembler(store, std::move(resolver));
   common::BufferChain out;
   for (size_t at = 0; at < wire.size(); at += chunk_size) {
     Status fed = assembler.Feed(
@@ -326,6 +331,9 @@ TEST(StreamingAssemblerTest, MatchesBufferedAssemblyAtEveryChunkSize) {
   FragmentStore reference_store(64);
   Result<AssembledPage> reference = AssemblePage(wire, reference_store);
   ASSERT_TRUE(reference.ok());
+  ASSERT_EQ(reference->Text(),
+            "head:fragment one-\x02-fragment onefragment\x03two"
+            "fragment\x03two:tail");
 
   for (size_t chunk_size : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
                             wire.size(), wire.size() + 17}) {
@@ -369,8 +377,7 @@ TEST(StreamingAssemblerTest, MissResolverSuppliesColdFragment) {
   FragmentStore store(16);
   int calls = 0;
   StreamingAssembler assembler(
-      store, ScanStrategy::kMemchr,
-      [&](const std::vector<bem::DpcKey>& keys) {
+      store, [&](const std::vector<bem::DpcKey>& keys) {
         ++calls;
         EXPECT_EQ(keys, std::vector<bem::DpcKey>{0x9});
         return store.Set(0x9, std::make_shared<const std::string>("recovered"));
@@ -398,8 +405,7 @@ TEST(StreamingAssemblerTest, OneResolverCallServesEveryMissOfAFeed) {
   FragmentStore store(16);
   std::vector<std::vector<bem::DpcKey>> calls;
   StreamingAssembler assembler(
-      store, ScanStrategy::kMemchr,
-      [&](const std::vector<bem::DpcKey>& keys) {
+      store, [&](const std::vector<bem::DpcKey>& keys) {
         calls.push_back(keys);
         for (bem::DpcKey key : keys) {
           Status stored = store.Set(
@@ -435,10 +441,9 @@ TEST(StreamingAssemblerTest, ResolverErrorAbortsWithThatStatus) {
   std::string wire;
   bem::TagCodec::AppendGet(0x9, wire);
   FragmentStore store(16);
-  StreamingAssembler assembler(
-      store, ScanStrategy::kMemchr, [](const std::vector<bem::DpcKey>&) {
-        return Status::IoError("origin unreachable");
-      });
+  StreamingAssembler assembler(store, [](const std::vector<bem::DpcKey>&) {
+    return Status::IoError("origin unreachable");
+  });
   common::BufferChain out;
   Status fed = assembler.Feed(common::MakeBuffer(wire), out);
   EXPECT_FALSE(fed.ok());
@@ -452,11 +457,11 @@ TEST(StreamingAssemblerTest, ResolverNotConsultedForWarmKeys) {
   ASSERT_TRUE(
       store.Set(0x4, std::make_shared<const std::string>("warm")).ok());
   int calls = 0;
-  StreamingAssembler assembler(store, ScanStrategy::kMemchr,
-                               [&calls](const std::vector<bem::DpcKey>&) {
-                                 ++calls;
-                                 return Status::Internal("unexpected");
-                               });
+  StreamingAssembler assembler(
+      store, [&calls](const std::vector<bem::DpcKey>&) {
+        ++calls;
+        return Status::Internal("unexpected");
+      });
   common::BufferChain out;
   ASSERT_TRUE(assembler.Feed(common::MakeBuffer(wire), out).ok());
   ASSERT_TRUE(assembler.Finish(out).ok());

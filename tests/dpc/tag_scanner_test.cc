@@ -7,12 +7,12 @@
 namespace dynaprox::dpc {
 namespace {
 
-using Kind = TemplateSegment::Kind;
+using Kind = StreamSegment::Kind;
 
 // Parameterized over both scan strategies: behaviour must be identical.
 class TagScannerTest : public ::testing::TestWithParam<ScanStrategy> {
  protected:
-  Result<std::vector<TemplateSegment>> Parse(std::string_view wire) {
+  Result<std::vector<StreamSegment>> Parse(std::string_view wire) {
     return ParseTemplate(wire, GetParam());
   }
 };

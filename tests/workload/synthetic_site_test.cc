@@ -93,7 +93,7 @@ TEST_F(SyntheticSiteTest, TemplateAssemblesToBaselinePage) {
   EXPECT_EQ(page->body.size(),
             static_cast<size_t>(params.fragments_per_page *
                                 params.fragment_size));
-  EXPECT_EQ(page->set_count, 2u);  // Two cacheable fragments.
+  EXPECT_EQ(page->progress.set_count, 2u);  // Two cacheable fragments.
 }
 
 TEST_F(SyntheticSiteTest, SecondRequestUsesGets) {
@@ -107,8 +107,8 @@ TEST_F(SyntheticSiteTest, SecondRequestUsesGets) {
   Result<dpc::AssembledPage> assembled =
       dpc::AssemblePage(second.body, store);
   ASSERT_TRUE(assembled.ok());
-  EXPECT_EQ(assembled->get_count, 2u);
-  EXPECT_EQ(assembled->set_count, 0u);
+  EXPECT_EQ(assembled->progress.get_count, 2u);
+  EXPECT_EQ(assembled->progress.set_count, 0u);
   EXPECT_EQ(site_->version_bumps(), 0u);  // h = 1.
 }
 
