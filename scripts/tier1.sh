@@ -32,9 +32,11 @@ cmake --build build-perfbench -j"$JOBS" --target perfbench
 # The streaming suites (dpc/streaming_scanner_test, http/streaming_reader
 # _test, net/streaming_test, dpc/proxy_streaming_test) live inside these
 # binaries, so split-boundary state and the chunk framing run under both
-# sanitizers. All three fuzz smokes replay their corpora here too, so both
+# sanitizers. All four fuzz smokes replay their corpora here too, so both
 # parsers that take bytes from the network run under ASan: the template
-# scanner (whole, and under random chunkings) and the HTTP request reader.
+# scanner (whole, and under random chunkings) and the HTTP framing decoder
+# (requests fed whole, split and byte by byte; responses streamed against
+# the whole-wire parse).
 # bem_test and appserver_test cover the cache directory's invalidation
 # step, which also erases the fragment's dependencies from the registry;
 # InvalidateAll and SweepExpired run it with a key reference into the
@@ -44,9 +46,9 @@ cmake -B build-asan -S . -DDYNAPROX_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target \
   common_test http_test net_test dpc_test bem_test appserver_test \
   integration_test fuzz_smoke_template fuzz_smoke_template_chunking \
-  fuzz_smoke_http
+  fuzz_smoke_http fuzz_smoke_http_response
 ctest --test-dir build-asan --output-on-failure \
-  -R '^(common_test|http_test|net_test|dpc_test|bem_test|appserver_test|integration_test|fuzz_smoke_template|fuzz_smoke_template_chunking|fuzz_smoke_http)$'
+  -R '^(common_test|http_test|net_test|dpc_test|bem_test|appserver_test|integration_test|fuzz_smoke_template|fuzz_smoke_template_chunking|fuzz_smoke_http|fuzz_smoke_http_response)$'
 
 # common_test carries the thread-pool suite, bem_test the striped
 # directory/free-list/monitor hammers (plus the push scheduler), and

@@ -3,15 +3,30 @@
 
 #include <gtest/gtest.h>
 
+#include "common/buffer_chain.h"
 #include "http/parser.h"
 
 namespace dynaprox::http {
 namespace {
 
+// `response` framed the way ConnectionCore streams it: the streaming head,
+// then the body in chunk frames of at most `chunk_size` bytes.
+std::string ChunkedWire(const Response& response, size_t chunk_size) {
+  common::BufferChain frames;
+  std::string_view body(response.body);
+  for (size_t at = 0; at < body.size(); at += chunk_size) {
+    common::BufferChain payload;
+    payload.AppendCopy(body.substr(at, chunk_size));
+    AppendChunkFrame(frames, std::move(payload));
+  }
+  AppendFinalChunkFrame(frames);
+  return SerializeStreamingHead(response) + frames.Flatten();
+}
+
 TEST(ChunkedTest, SerializeThenParseRoundTrips) {
   Response response = Response::MakeOk(std::string(10'000, 'x'));
   response.headers.Add("X-Extra", "kept");
-  std::string wire = SerializeChunked(response, 1024);
+  std::string wire = ChunkedWire(response, 1024);
   Result<Response> parsed = ParseResponse(wire);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->body, response.body);
@@ -23,7 +38,7 @@ TEST(ChunkedTest, SerializeThenParseRoundTrips) {
 
 TEST(ChunkedTest, EmptyBody) {
   Response response = Response::MakeOk("");
-  std::string wire = SerializeChunked(response, 16);
+  std::string wire = ChunkedWire(response, 16);
   Result<Response> parsed = ParseResponse(wire);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->body, "");
@@ -42,7 +57,7 @@ TEST(ChunkedTest, HandwrittenChunksWithExtensionAndTrailer) {
 
 TEST(ChunkedTest, IncrementalReaderReassembles) {
   Response response = Response::MakeOk("hello chunked world");
-  std::string wire = SerializeChunked(response, 4);
+  std::string wire = ChunkedWire(response, 4);
   ResponseReader reader;
   for (size_t i = 0; i < wire.size(); i += 3) {
     reader.Feed(std::string_view(wire).substr(i, 3));
@@ -126,7 +141,7 @@ TEST(ChunkedTest, PipelinedAfterChunkedMessage) {
   Response first = Response::MakeOk("one");
   Response second = Response::MakeOk("two");
   ResponseReader reader;
-  reader.Feed(SerializeChunked(first, 2) + second.Serialize());
+  reader.Feed(ChunkedWire(first, 2) + second.Serialize());
   auto a = reader.Next();
   ASSERT_TRUE(a.has_value() && a->ok());
   EXPECT_EQ(a->value().body, "one");

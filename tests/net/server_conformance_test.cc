@@ -11,7 +11,9 @@
 //     shared IngressCounters gauge;
 //   - Stop(drain) finishes the in-flight request, answers it with
 //     "Connection: close", and counts the connection drained — even
-//     when the drain begins while the handler is still running.
+//     when the drain begins while the handler is still running;
+//   - a request whose framing a peer could read differently is answered
+//     400 and the connection closed, with nothing dispatched.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -19,6 +21,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <memory>
@@ -295,6 +298,36 @@ TEST_P(ServerConformanceTest, DrainServesRequestBytesAlreadyBuffered) {
   EXPECT_EQ(slow_response->body, "path=/busy");
   ::close(victim);
   ::close(busy);
+}
+
+TEST_P(ServerConformanceTest, AmbiguousFramingIsRefusedWith400AndClosed) {
+  // Disagreeing Content-Length fields (RFC 9112 §6.3) and a coding list
+  // ending in chunked (§6.1). Taking the first length, or ignoring the
+  // unknown coding, makes each a bodiless POST followed by a second
+  // request, "GET /smuggled"; a peer taking the other reading sees one
+  // POST. The server must answer 400, close, and dispatch neither.
+  for (const char* framing :
+       {"Content-Length: 0\r\nContent-Length: 26\r\n\r\n",
+        "Transfer-Encoding: gzip, chunked\r\n\r\n"}) {
+    std::atomic<int> dispatched{0};
+    ServerUnderTest server(GetParam(), [&](const http::Request& request) {
+      dispatched.fetch_add(1);
+      return EchoHandler(request);
+    });
+    ASSERT_TRUE(server.Start().ok());
+    int fd = ConnectTo(server.port());
+    ASSERT_GE(fd, 0);
+    std::string wire = std::string("POST /a HTTP/1.1\r\n") + framing +
+                       "GET /smuggled HTTP/1.1\r\n\r\n";
+    ASSERT_GT(::send(fd, wire.data(), wire.size(), 0), 0);
+    std::optional<http::Response> response = ReadOneResponse(fd);
+    ASSERT_TRUE(response.has_value()) << framing;
+    EXPECT_EQ(response->status_code, 400) << framing;
+    EXPECT_TRUE(WaitForEof(fd)) << framing;
+    EXPECT_EQ(dispatched.load(), 0) << framing;
+    ::close(fd);
+    server.Stop();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shells, ServerConformanceTest,
