@@ -41,14 +41,21 @@ cmake --build build-perfbench -j"$JOBS" --target perfbench
 # step, which also erases the fragment's dependencies from the registry;
 # InvalidateAll and SweepExpired run it with a key reference into the
 # entry map they are iterating.
-echo "== tier1: ASan+UBSan (common/http/net/dpc/bem/appserver/integration/fuzz) =="
+# edge_test, firewall_test, workload_test and baseline_test run every
+# transport that wraps another (the fleet's header stamp, the cluster's
+# metered peer channels, the scanning firewall) and the callers that
+# drain whole responses through Transport::RoundTrip (the workload
+# driver, the URL cache and ESI baselines), so each stream hand-off and
+# StreamWhole/DrainWhole pair runs under ASan too.
+echo "== tier1: ASan+UBSan (common/http/net/dpc/bem/appserver/edge/firewall/workload/baseline/integration/fuzz) =="
 cmake -B build-asan -S . -DDYNAPROX_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target \
   common_test http_test net_test dpc_test bem_test appserver_test \
+  edge_test firewall_test workload_test baseline_test \
   integration_test fuzz_smoke_template fuzz_smoke_template_chunking \
   fuzz_smoke_http fuzz_smoke_http_response
 ctest --test-dir build-asan --output-on-failure \
-  -R '^(common_test|http_test|net_test|dpc_test|bem_test|appserver_test|integration_test|fuzz_smoke_template|fuzz_smoke_template_chunking|fuzz_smoke_http|fuzz_smoke_http_response)$'
+  -R '^(common_test|http_test|net_test|dpc_test|bem_test|appserver_test|edge_test|firewall_test|workload_test|baseline_test|integration_test|fuzz_smoke_template|fuzz_smoke_template_chunking|fuzz_smoke_http|fuzz_smoke_http_response)$'
 
 # common_test carries the thread-pool suite, bem_test the striped
 # directory/free-list/monitor hammers (plus the push scheduler), and

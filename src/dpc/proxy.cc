@@ -618,7 +618,8 @@ std::optional<http::Response> DpcProxy::LookupAnyStale(
     }
   }
   if (!stale.has_value() && static_cache_ != nullptr) {
-    stale = static_cache_->LookupStale(url);  // Sets Age itself.
+    // LookupStale sets Age itself.
+    stale = static_cache_->LookupStale(url, options_.max_stale_micros);
   }
   if (!stale.has_value()) return std::nullopt;
   // Cached as first sent: hop-by-hop fields stripped and Via appended.

@@ -77,7 +77,8 @@ struct ProxyOptions {
   // Retry-After only when nothing stale exists.
   bool serve_stale = false;
   StalePageCacheOptions stale_cache;
-  // Oldest page age servable in degraded mode; 0 = any age.
+  // Oldest page age servable in degraded mode, from the stale page cache
+  // and the static cache alike; 0 = any age.
   MicroTime max_stale_micros = 0;
   // Retry-After seconds on degraded 503 responses.
   int64_t retry_after_seconds = 5;

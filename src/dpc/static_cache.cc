@@ -37,17 +37,18 @@ std::optional<http::Response> StaticCache::Lookup(const std::string& url) {
 }
 
 std::optional<http::Response> StaticCache::LookupStale(
-    const std::string& url) {
+    const std::string& url, MicroTime max_stale_micros) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(url);
   if (it == entries_.end()) return std::nullopt;
   Entry& entry = it->second;
+  MicroTime age = options_.clock->NowMicros() - entry.stored_at;
+  if (max_stale_micros > 0 && age > max_stale_micros) return std::nullopt;
   ++stats_.stale_served;
   lru_.erase(entry.lru_position);
   lru_.push_front(url);
   entry.lru_position = lru_.begin();
   http::Response response = entry.response;
-  MicroTime age = options_.clock->NowMicros() - entry.stored_at;
   response.headers.Set("Age", std::to_string(age / kMicrosPerSecond));
   return response;
 }

@@ -45,10 +45,12 @@ class StaticCache {
   std::optional<http::Response> Lookup(const std::string& url);
 
   // Serve-stale-on-error (RFC 9111 §4.2.4): returns the entry for `url`
-  // regardless of freshness, with its Age header set. The caller marks the
-  // response (Warning: 110) and must only use this when the origin failed
-  // or answered 5xx. Never evicts.
-  std::optional<http::Response> LookupStale(const std::string& url);
+  // regardless of freshness, with its Age header set. `max_stale_micros`
+  // > 0 bounds that age (an older entry is not served, but stays for
+  // revalidation). The caller marks the response (Warning: 110) and must
+  // only use this when the origin failed or answered 5xx. Never evicts.
+  std::optional<http::Response> LookupStale(const std::string& url,
+                                            MicroTime max_stale_micros = 0);
 
   // Returns the ETag of a stale-but-revalidatable entry for `url`; the
   // proxy sends it upstream as If-None-Match.

@@ -21,10 +21,11 @@ class HeaderStampTransport : public net::Transport {
                        std::string value)
       : inner_(inner), name_(std::move(name)), value_(std::move(value)) {}
 
-  Result<http::Response> RoundTrip(const http::Request& request) override {
+  Result<net::StreamingResponse> RoundTripStreaming(
+      const http::Request& request) override {
     http::Request stamped = request;
     stamped.headers.Set(name_, value_);
-    return inner_->RoundTrip(stamped);
+    return inner_->RoundTripStreaming(stamped);
   }
 
  private:

@@ -23,21 +23,20 @@ bool ScanningFirewall::Scan(std::string_view data) {
   return matched;
 }
 
-Result<http::Response> ScanningFirewall::RoundTrip(
+Result<net::StreamingResponse> ScanningFirewall::RoundTripStreaming(
     const http::Request& request) {
   if (Scan(request.Serialize())) {
     ++stats_.blocked;
-    return http::Response::MakeError(403, "Forbidden",
-                                     "request blocked by firewall policy");
+    return net::StreamWhole(http::Response::MakeError(
+        403, "Forbidden", "request blocked by firewall policy"));
   }
-  Result<http::Response> response = inner_->RoundTrip(request);
-  if (response.ok()) {
-    // Signatures may straddle slice boundaries, so a chained body must be
-    // scanned contiguously; flattening is a no-op for string bodies.
-    response->FlattenBody();
-    Scan(response->body);
-  }
-  return response;
+  Result<net::StreamingResponse> streaming =
+      inner_->RoundTripStreaming(request);
+  if (!streaming.ok()) return streaming.status();
+  Result<http::Response> response = net::DrainWhole(std::move(*streaming));
+  if (!response.ok()) return response.status();
+  Scan(response->body);
+  return net::StreamWhole(std::move(*response));
 }
 
 }  // namespace dynaprox::firewall

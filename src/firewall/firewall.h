@@ -51,7 +51,10 @@ class ScanningFirewall : public net::Transport {
   // `inner` must outlive the firewall.
   ScanningFirewall(net::Transport* inner, std::vector<std::string> signatures);
 
-  Result<http::Response> RoundTrip(const http::Request& request) override;
+  // Reads the response body whole before scanning it, since a signature
+  // can straddle chunks, and passes it on as one chunk.
+  Result<net::StreamingResponse> RoundTripStreaming(
+      const http::Request& request) override;
 
   const FirewallStats& stats() const { return stats_; }
 

@@ -153,14 +153,6 @@ CircuitBreakerTransport::CircuitBreakerTransport(
     Transport* inner, CircuitBreakerTransportOptions options)
     : inner_(inner), options_(options), breaker_(options.breaker) {}
 
-Result<http::Response> CircuitBreakerTransport::RoundTrip(
-    const http::Request& request) {
-  if (!breaker_.Allow()) return Rejection();
-  Result<http::Response> response = inner_->RoundTrip(request);
-  breaker_.Record(response.ok() && Healthy(response->status_code));
-  return response;
-}
-
 Result<StreamingResponse> CircuitBreakerTransport::RoundTripStreaming(
     const http::Request& request) {
   if (!breaker_.Allow()) return Rejection();

@@ -125,12 +125,9 @@ class CircuitBreakerTransport : public Transport {
   CircuitBreakerTransport(Transport* inner,
                           CircuitBreakerTransportOptions options = {});
 
-  Result<http::Response> RoundTrip(const http::Request& request) override;
-
-  // Forwards to the inner transport's streaming path, so the body still
-  // streams. The outcome is recorded at the head: a failed round trip, or
-  // a 5xx head under count_http_5xx, is a failure; a later mid-body error
-  // is not counted.
+  // Forwards the inner stream, so the body still streams. Every round
+  // trip is judged at its head: a failed round trip, or a 5xx head under
+  // count_http_5xx, is a failure; a later mid-body error is not counted.
   Result<StreamingResponse> RoundTripStreaming(
       const http::Request& request) override;
 

@@ -223,13 +223,6 @@ PooledClientTransport::PooledClientTransport(std::string host, uint16_t port,
     : options_(std::move(options)),
       pool_(std::move(host), port, options_.pool) {}
 
-Result<http::Response> PooledClientTransport::RoundTrip(
-    const http::Request& request) {
-  Result<StreamingResponse> streaming = RoundTripStreaming(request);
-  if (!streaming.ok()) return streaming.status();
-  return DrainWhole(std::move(*streaming));
-}
-
 // Body stream over one checked-out pooled connection. Draining to
 // end-of-body checks the connection back in reusable (unless the server
 // announced "Connection: close" or sent bytes past the body); a read

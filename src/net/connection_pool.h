@@ -155,8 +155,6 @@ class PooledClientTransport : public Transport {
   PooledClientTransport(std::string host, uint16_t port,
                         PooledTransportOptions options = {});
 
-  Result<http::Response> RoundTrip(const http::Request& request) override;
-
   Result<StreamingResponse> RoundTripStreaming(
       const http::Request& request) override;
 

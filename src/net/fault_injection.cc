@@ -72,33 +72,6 @@ FaultInjectingTransport::Fault FaultInjectingTransport::DrawAndCount() {
   return fault;
 }
 
-Result<http::Response> FaultInjectingTransport::RoundTrip(
-    const http::Request& request) {
-  if (down()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.down_failures;
-    }
-    SleepMicros(options_.down_failure_delay_micros);
-    return Status::IoError("fault injection: origin down");
-  }
-  switch (DrawAndCount()) {
-    case Fault::kError:
-      return Status::IoError("fault injection: connection reset");
-    case Fault::kBlackHole:
-      SleepMicros(options_.black_hole_micros);
-      return Status::IoError("fault injection: timeout");
-    case Fault::kGarbage:
-      return MakeGarbageResponse();
-    case Fault::kDelay:
-      SleepMicros(options_.delay_micros);
-      return inner_->RoundTrip(request);
-    case Fault::kNone:
-      return inner_->RoundTrip(request);
-  }
-  return inner_->RoundTrip(request);
-}
-
 Result<StreamingResponse> FaultInjectingTransport::RoundTripStreaming(
     const http::Request& request) {
   if (down()) {

@@ -58,13 +58,9 @@ class FaultInjectingTransport : public Transport {
   FaultInjectingTransport(Transport* inner,
                           FaultInjectionOptions options = {});
 
-  Result<http::Response> RoundTrip(const http::Request& request) override;
-
-  // Forwards to the inner transport's streaming path under the same fault
-  // draw. Without this override the base-class adapter kicks in: it still
-  // routes through RoundTrip (faults apply) but silently buffers the whole
-  // body, so streamed requests never exercise the inner transport's real
-  // chunk timing and a fault test over the DPC is testing the wrong path.
+  // Draws one fault, then fails, answers garbage, or forwards the inner
+  // stream (after a sleep for a delay), so the inner transport keeps its
+  // chunk timing.
   Result<StreamingResponse> RoundTripStreaming(
       const http::Request& request) override;
 

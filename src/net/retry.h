@@ -1,66 +1,17 @@
 #ifndef DYNAPROX_NET_RETRY_H_
 #define DYNAPROX_NET_RETRY_H_
 
-#include <chrono>
-#include <cstdint>
-#include <thread>
-
 #include "common/clock.h"
-#include "net/transport.h"
 
 namespace dynaprox::net {
 
+// Attempt-and-backoff parameters shared by the connection pool's dial
+// retries and the circuit breaker's cooldown.
 struct RetryOptions {
   // Total attempts (first try included). Must be >= 1.
   int max_attempts = 3;
   // Sleep between attempts; doubled each retry (0 disables sleeping).
   MicroTime initial_backoff_micros = 0;
-};
-
-struct RetryStats {
-  uint64_t attempts = 0;
-  uint64_t retries = 0;
-  uint64_t gave_up = 0;
-};
-
-// Transport decorator that retries transport-level failures (the Status
-// error path: connect resets, origin restarts). HTTP-level error responses
-// pass through untouched — they are answers, not failures. Intended for
-// idempotent (GET-dominated) traffic like the DPC's origin link. Not
-// thread-safe counters aside, RoundTrip itself is safe if `inner` is.
-class RetryTransport : public Transport {
- public:
-  // `inner` must outlive the decorator.
-  RetryTransport(Transport* inner, RetryOptions options)
-      : inner_(inner),
-        options_(options.max_attempts < 1 ? RetryOptions{1, 0} : options) {}
-
-  Result<http::Response> RoundTrip(const http::Request& request) override {
-    MicroTime backoff = options_.initial_backoff_micros;
-    Status last = Status::Internal("unreachable");
-    for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
-      ++stats_.attempts;
-      if (attempt > 0) {
-        ++stats_.retries;
-        if (backoff > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(backoff));
-          backoff *= 2;
-        }
-      }
-      Result<http::Response> response = inner_->RoundTrip(request);
-      if (response.ok()) return response;
-      last = response.status();
-    }
-    ++stats_.gave_up;
-    return last;
-  }
-
-  const RetryStats& stats() const { return stats_; }
-
- private:
-  Transport* inner_;
-  RetryOptions options_;
-  RetryStats stats_;
 };
 
 }  // namespace dynaprox::net

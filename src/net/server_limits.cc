@@ -38,6 +38,7 @@ http::Response ResponseForReaderError(
     case http::RequestReader::LimitViolation::kNone:
       break;
   }
+  bump(&IngressCounters::bad_requests);
   return http::Response::MakeError(400, "Bad Request", error.ToString());
 }
 
@@ -113,6 +114,9 @@ void RegisterIngressMetrics(metrics::Registry& registry,
   counter("oversize_bodies_total",
           "Requests rejected 413 by the body byte cap.",
           &counters->oversize_bodies);
+  counter("bad_requests_total",
+          "Requests rejected 400 as malformed or ambiguously framed.",
+          &counters->bad_requests);
   counter("drained_connections_total",
           "Connections that completed during graceful drain.",
           &counters->drained_connections);
@@ -179,6 +183,10 @@ void RegisterWorkerIngressMetrics(metrics::Registry& registry,
   counter("oversize_bodies_total",
           "413 rejections by the body byte cap, by worker.",
           &IngressCounters::oversize_bodies);
+  counter("bad_requests_total",
+          "400 rejections of malformed or ambiguously framed requests, "
+          "by worker.",
+          &IngressCounters::bad_requests);
   counter("drained_connections_total",
           "Connections completed during graceful drain, by worker.",
           &IngressCounters::drained_connections);

@@ -34,6 +34,7 @@ struct IngressCounters {
   std::atomic<uint64_t> write_stall_closes{0};  // Client stopped reading.
   std::atomic<uint64_t> oversize_headers{0};   // 431 sent.
   std::atomic<uint64_t> oversize_bodies{0};    // 413 sent.
+  std::atomic<uint64_t> bad_requests{0};       // 400 sent (malformed).
   std::atomic<uint64_t> drained_connections{0};  // Finished during drain.
   // Accept hit EMFILE/ENFILE. Counts *episodes* (entries into the
   // exhausted state), not failed accept() calls: during one sustained
@@ -96,8 +97,8 @@ http::Response MakeShedResponse(int64_t retry_after_seconds);
 
 // Maps a failed RequestReader to the response that closes the
 // conversation: 431 for a header-cap violation, 413 for a body-cap
-// violation, 400 otherwise — and bumps the matching counter (mirrored
-// into `worker` when set).
+// violation, 400 otherwise (malformed or ambiguously framed) — and bumps
+// the matching counter (mirrored into `worker` when set).
 http::Response ResponseForReaderError(
     http::RequestReader::LimitViolation violation, const Status& error,
     IngressCounters& counters, IngressCounters* worker = nullptr);

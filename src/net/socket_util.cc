@@ -31,28 +31,6 @@ Status SendAll(int fd, std::string_view data, size_t* sent_out) {
   return Status::Ok();
 }
 
-Status SendChain(int fd, const common::BufferChain& chain,
-                 size_t* sent_out) {
-  constexpr size_t kMaxIovecs = 64;  // Under any sane IOV_MAX.
-  struct iovec iov[kMaxIovecs];
-  size_t sent = 0;
-  while (sent < chain.size()) {
-    size_t n_iov = chain.FillIovecs(sent, iov, kMaxIovecs);
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = n_iov;
-    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (sent_out != nullptr) *sent_out = sent;
-      return ErrnoStatus("sendmsg");
-    }
-    sent += static_cast<size_t>(n);
-  }
-  if (sent_out != nullptr) *sent_out = sent;
-  return Status::Ok();
-}
-
 Result<int> DialTcp(const std::string& host, uint16_t port,
                     MicroTime io_timeout_micros) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);

@@ -5,7 +5,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/buffer_chain.h"
 #include "common/clock.h"
 #include "common/result.h"
 
@@ -19,14 +18,6 @@ Status ErrnoStatus(const char* what);
 // even on failure — retry decisions depend on whether any bytes may have
 // reached the peer (see net/idempotency.h).
 Status SendAll(int fd, std::string_view data, size_t* sent_out = nullptr);
-
-// Vectored equivalent of SendAll: writes the whole chain via sendmsg,
-// resuming after partial writes at the exact byte offset (mid-iovec
-// included). No flattening — the chain's slices go to the kernel as one
-// iovec array per call. SO_SNDTIMEO on `fd` bounds each sendmsg like it
-// bounds each send in SendAll.
-Status SendChain(int fd, const common::BufferChain& chain,
-                 size_t* sent_out = nullptr);
 
 // Opens a blocking TCP connection to host:port with TCP_NODELAY set and,
 // when `io_timeout_micros` > 0, SO_RCVTIMEO/SO_SNDTIMEO applied. Returns

@@ -31,21 +31,22 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  // Sends `request` and waits for the response.
-  virtual Result<http::Response> RoundTrip(const http::Request& request) = 0;
-
-  // Streaming variant: returns once the response head is parsed, with the
-  // body arriving through the returned stream. The base implementation
-  // adapts RoundTrip — the whole body is buffered and delivered as one
-  // chunk — so only transports with a real wire gain time-to-first-byte
-  // by overriding it. Decorators must override to forward, or they
-  // silently degrade the inner transport to the buffered adapter.
+  // Sends `request` and returns once the response head is parsed, with
+  // the body arriving through the returned stream. This is the one round
+  // trip every transport implements; a decorator forwards the stream, so
+  // whatever it wraps keeps its chunk timing.
   virtual Result<StreamingResponse> RoundTripStreaming(
-      const http::Request& request);
+      const http::Request& request) = 0;
+
+  // Sends `request` and waits for the whole response: RoundTripStreaming
+  // drained by DrainWhole, defined once in transport.cc. Virtual only
+  // because perfbench's tracer (perfbench/spans.cc) overrides it; no
+  // library transport does.
+  virtual Result<http::Response> RoundTrip(const http::Request& request);
 };
 
-// BodyStream over an already-complete body: the default RoundTripStreaming
-// adapter and the degenerate case of streamed serving.
+// BodyStream over an already-complete body: the degenerate case of streamed
+// serving.
 class BufferedBodyStream : public http::BodyStream {
  public:
   explicit BufferedBodyStream(common::BufferChain chain)
@@ -63,8 +64,8 @@ class BufferedBodyStream : public http::BodyStream {
 
 // Wraps an already-complete response as a StreamingResponse: the body
 // becomes one chunk and the head declares its length, so a consumer can
-// tell that the whole body has arrived. The default RoundTripStreaming
-// adapter and decorators that answer without a wire use it.
+// tell that the whole body has arrived. Transports and decorators that
+// answer without a wire use it.
 inline StreamingResponse StreamWhole(http::Response response) {
   common::BufferChain body;
   if (!response.body_chain.empty()) {
@@ -83,9 +84,8 @@ inline StreamingResponse StreamWhole(http::Response response) {
 
 // The inverse of StreamWhole: pulls the body to its end into `body` and
 // frames the message the way the buffered parser frames a whole wire (a
-// joined chunked body gets Content-Length; see http::Dechunk). A transport
-// whose RoundTrip is its streaming path drained by this returns the same
-// message a buffered read would.
+// joined chunked body gets Content-Length; see http::Dechunk), so
+// Transport::RoundTrip returns the same message a buffered read would.
 inline Result<http::Response> DrainWhole(StreamingResponse streaming) {
   http::Response response = std::move(streaming.head);
   for (;;) {
@@ -98,21 +98,15 @@ inline Result<http::Response> DrainWhole(StreamingResponse streaming) {
   return response;
 }
 
-inline Result<StreamingResponse> Transport::RoundTripStreaming(
-    const http::Request& request) {
-  Result<http::Response> response = RoundTrip(request);
-  if (!response.ok()) return response.status();
-  return StreamWhole(std::move(*response));
-}
-
 // In-process transport that invokes a Handler directly. Used by the
 // simulation testbed so byte accounting is exact and runs are deterministic.
 class DirectTransport : public Transport {
  public:
   explicit DirectTransport(Handler handler) : handler_(std::move(handler)) {}
 
-  Result<http::Response> RoundTrip(const http::Request& request) override {
-    return handler_(request);
+  Result<StreamingResponse> RoundTripStreaming(
+      const http::Request& request) override {
+    return StreamWhole(handler_(request));
   }
 
  private:
@@ -130,20 +124,8 @@ class MeteredTransport : public Transport {
         request_meter_(request_meter),
         response_meter_(response_meter) {}
 
-  Result<http::Response> RoundTrip(const http::Request& request) override {
-    if (request_meter_ != nullptr) {
-      request_meter_->RecordMessage(request.SerializedSize());
-    }
-    Result<http::Response> response = inner_->RoundTrip(request);
-    if (response.ok() && response_meter_ != nullptr) {
-      response_meter_->RecordMessage(response->SerializedSize());
-    }
-    return response;
-  }
-
-  // Forwards so the inner transport's streaming stays live. The head
-  // opens the message and each pulled chunk continues it, so a response
-  // meters the same payload and wire bytes as through RoundTrip.
+  // The head opens the message and each pulled chunk continues it, so a
+  // response meters what one RecordMessage of its serialized size would.
   Result<StreamingResponse> RoundTripStreaming(
       const http::Request& request) override {
     if (request_meter_ != nullptr) {

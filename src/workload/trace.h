@@ -7,7 +7,6 @@
 
 #include "common/result.h"
 #include "http/message.h"
-#include "net/transport.h"
 
 namespace dynaprox::workload {
 
@@ -28,26 +27,6 @@ struct TraceEntry {
 Status SaveTrace(const std::string& path,
                  const std::vector<TraceEntry>& entries);
 Result<std::vector<TraceEntry>> LoadTrace(const std::string& path);
-
-// Transport decorator that records every request passing through it.
-class RecordingTransport : public net::Transport {
- public:
-  explicit RecordingTransport(net::Transport* inner) : inner_(inner) {}
-
-  Result<http::Response> RoundTrip(const http::Request& request) override {
-    entries_.push_back(TraceEntry::FromRequest(request));
-    return inner_->RoundTrip(request);
-  }
-
-  const std::vector<TraceEntry>& entries() const { return entries_; }
-  Status Save(const std::string& path) const {
-    return SaveTrace(path, entries_);
-  }
-
- private:
-  net::Transport* inner_;
-  std::vector<TraceEntry> entries_;
-};
 
 // Replays a loaded trace in order; Next() wraps around when `loop` is set,
 // otherwise fails with FailedPrecondition past the end.

@@ -13,6 +13,7 @@
 #include "common/clock.h"
 #include "dpc/proxy.h"
 #include "net/circuit_breaker.h"
+#include "net/fault_injection.h"
 
 namespace dynaprox::dpc {
 namespace {
@@ -21,12 +22,13 @@ namespace {
 // fails at the transport level (or answers 500) while down.
 class FlakyOrigin : public net::Transport {
  public:
-  Result<http::Response> RoundTrip(const http::Request& request) override {
+  Result<net::StreamingResponse> RoundTripStreaming(
+      const http::Request& request) override {
     ++round_trips_;
     if (transport_error_) return Status::IoError("origin down");
     if (answer_500_) {
-      return http::Response::MakeError(500, "Internal Server Error",
-                                       "backend exploded");
+      return net::StreamWhole(http::Response::MakeError(
+          500, "Internal Server Error", "backend exploded"));
     }
     std::string url(request.target);
     if (auto refresh = request.headers.Get(bem::kRefreshHeader);
@@ -44,7 +46,7 @@ class FlakyOrigin : public net::Transport {
     body += "</page>";
     http::Response response = http::Response::MakeOk(std::move(body));
     response.headers.Set(bem::kTemplateHeader, "1");
-    return response;
+    return net::StreamWhole(std::move(response));
   }
 
   bool transport_error_ = false;
@@ -168,6 +170,67 @@ TEST_F(ProxyResilienceTest, MaxStaleAgeBoundsDegradedServing) {
   http::Response degraded = proxy.Handle(Get("/a"));
   EXPECT_EQ(degraded.status_code, 503);
   EXPECT_EQ(proxy.stats().stale_served, 0u);
+}
+
+// The max-stale bound covers the static cache's stale copies as well as
+// the stale-page cache: a page stored under "Cache-Control: public,
+// max-age=10" is served stale at 30 s and not at 120 s, 60 s past the
+// bound, whether the origin is unreachable or answers 500.
+class StaticStaleTest : public ProxyResilienceTest {
+ protected:
+  StaticStaleTest()
+      : page_([this](const http::Request&) {
+          if (answer_500_) {
+            return http::Response::MakeError(500, "Internal Server Error",
+                                             "backend exploded");
+          }
+          http::Response response = http::Response::MakeOk("static body");
+          response.headers.Set("Cache-Control", "public, max-age=10");
+          return response;
+        }),
+        upstream_(&page_) {}
+
+  ProxyOptions BoundedOptions() {
+    ProxyOptions options = StaleOptions();
+    options.enable_static_cache = true;
+    options.static_cache.clock = &clock_;
+    options.max_stale_micros = 60 * kMicrosPerSecond;
+    return options;
+  }
+
+  bool answer_500_ = false;
+  net::DirectTransport page_;
+  net::FaultInjectingTransport upstream_;
+};
+
+TEST_F(StaticStaleTest, MaxStaleAgeBoundsStaticCopiesOnTransportError) {
+  DpcProxy proxy(&upstream_, BoundedOptions());
+  ASSERT_EQ(proxy.Handle(Get("/logo")).status_code, 200);
+  upstream_.set_down(true);
+  clock_.AdvanceSeconds(30);
+  http::Response within = proxy.Handle(Get("/logo"));
+  EXPECT_EQ(within.status_code, 200);
+  EXPECT_EQ(*within.headers.Get("Warning"), kStaleWarning);
+  clock_.AdvanceSeconds(90);  // 120 s old: past the 60 s bound.
+  http::Response degraded = proxy.Handle(Get("/logo"));
+  EXPECT_EQ(degraded.status_code, 503);
+  EXPECT_FALSE(degraded.headers.Has("Warning"));
+  EXPECT_EQ(proxy.stats().stale_served, 1u);
+}
+
+TEST_F(StaticStaleTest, MaxStaleAgeBoundsStaticCopiesOnUpstream5xx) {
+  DpcProxy proxy(&upstream_, BoundedOptions());
+  ASSERT_EQ(proxy.Handle(Get("/logo")).status_code, 200);
+  answer_500_ = true;
+  clock_.AdvanceSeconds(30);
+  http::Response within = proxy.Handle(Get("/logo"));
+  EXPECT_EQ(within.status_code, 200);
+  EXPECT_EQ(*within.headers.Get("Warning"), kStaleWarning);
+  clock_.AdvanceSeconds(90);  // 120 s old: past the 60 s bound.
+  http::Response answered = proxy.Handle(Get("/logo"));
+  EXPECT_EQ(answered.status_code, 500);  // Nothing servable: honest answer.
+  EXPECT_FALSE(answered.headers.Has("Warning"));
+  EXPECT_EQ(proxy.stats().stale_served, 1u);
 }
 
 TEST_F(ProxyResilienceTest, StaleCacheIsBoundedLru) {

@@ -164,10 +164,6 @@ class ChunkedUpstream : public net::Transport {
                            http::Response answer = TemplateHead())
       : head(std::move(answer)), script_(std::move(script)) {}
 
-  Result<http::Response> RoundTrip(const http::Request&) override {
-    return Status::Internal("the DPC pulls every response as a stream");
-  }
-
   Result<net::StreamingResponse> RoundTripStreaming(
       const http::Request& request) override {
     requests_.push_back(request);

@@ -143,7 +143,8 @@ TEST(DpcProxyTest, CorruptTemplateYields502) {
 TEST(DpcProxyTest, UpstreamFailureYields502) {
   class FailingTransport : public net::Transport {
    public:
-    Result<http::Response> RoundTrip(const http::Request&) override {
+    Result<net::StreamingResponse> RoundTripStreaming(
+        const http::Request&) override {
       return Status::IoError("origin down");
     }
   };

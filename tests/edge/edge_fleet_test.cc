@@ -1,5 +1,8 @@
 #include "edge/edge_fleet.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
@@ -168,6 +171,52 @@ TEST_F(EdgeFleetTest, ClientKeyFallbacks) {
   http::Request bare;
   bare.target = "/quote";
   EXPECT_EQ(EdgeFleet::ClientKey(bare), "/quote");
+}
+
+// An inner transport whose 300-byte body arrives in three 100-byte chunks;
+// it keeps the last request it saw.
+class ThreeChunkTransport : public net::Transport {
+ public:
+  Result<net::StreamingResponse> RoundTripStreaming(
+      const http::Request& request) override {
+    last_request = request;
+    class Body : public http::BodyStream {
+     public:
+      Result<common::BufferChain> Next() override {
+        common::BufferChain out;
+        if (left_-- > 0) out.AppendCopy(std::string(100, 'c'));
+        return out;
+      }
+
+     private:
+      int left_ = 3;
+    };
+    net::StreamingResponse streaming;
+    streaming.head = http::Response::MakeOk("");
+    streaming.body = std::make_unique<Body>();
+    return streaming;
+  }
+
+  http::Request last_request;
+};
+
+// The stamp forwards the inner stream: the caller pulls the body in the
+// inner transport's three chunks, not as one buffered chunk.
+TEST(HeaderStampTransportTest, ForwardsTheInnerStreamChunkByChunk) {
+  ThreeChunkTransport inner;
+  HeaderStampTransport stamp(&inner, kEdgeHeader, "edge-east");
+  Result<net::StreamingResponse> response =
+      stamp.RoundTripStreaming(http::Request{});
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(inner.last_request.headers.Get(kEdgeHeader), "edge-east");
+  std::vector<size_t> pulls;
+  for (;;) {
+    Result<common::BufferChain> chunk = response->body->Next();
+    ASSERT_TRUE(chunk.ok());
+    if (chunk->empty()) break;
+    pulls.push_back(chunk->size());
+  }
+  EXPECT_EQ(pulls, (std::vector<size_t>{100, 100, 100}));
 }
 
 }  // namespace

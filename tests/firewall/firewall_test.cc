@@ -1,5 +1,7 @@
 #include "firewall/firewall.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 namespace dynaprox::firewall {
@@ -74,6 +76,41 @@ TEST(ScanningFirewallTest, BytesScannedTracksTraffic) {
   firewall.RoundTrip(request);
   EXPECT_EQ(firewall.stats().bytes_scanned,
             request.Serialize().size() + body.size());
+}
+
+// A response body that arrives in two chunks, cut inside "marker".
+class SplitSignatureTransport : public net::Transport {
+ public:
+  Result<net::StreamingResponse> RoundTripStreaming(
+      const http::Request&) override {
+    class Body : public http::BodyStream {
+     public:
+      Result<common::BufferChain> Next() override {
+        common::BufferChain out;
+        if (at_ == 0) out.AppendCopy("xx mar");
+        if (at_ == 1) out.AppendCopy("ker yy");
+        ++at_;
+        return out;
+      }
+
+     private:
+      int at_ = 0;
+    };
+    net::StreamingResponse streaming;
+    streaming.head = http::Response::MakeOk("");
+    streaming.body = std::make_unique<Body>();
+    return streaming;
+  }
+};
+
+TEST(ScanningFirewallTest, CountsASignatureSplitAcrossChunks) {
+  SplitSignatureTransport origin;
+  ScanningFirewall firewall(&origin, {"marker"});
+  Result<http::Response> response = firewall.RoundTrip(http::Request{});
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->body, "xx marker yy");
+  EXPECT_EQ(firewall.stats().signature_hits, 1u);
+  EXPECT_EQ(firewall.stats().blocked, 0u);
 }
 
 TEST(ScanningFirewallTest, MultipleSignatures) {

@@ -492,12 +492,6 @@ TEST_F(ChaosClusterTest, EveryFaultPointFiresAcrossAllLayers) {
     // clean 502 a failed upstream gets; after commit it truncates.
     class ChunkedTemplateTransport : public net::Transport {
      public:
-      Result<http::Response> RoundTrip(const http::Request&) override {
-        http::Response response =
-            http::Response::MakeOk("<committed><tail>");
-        response.headers.Set(bem::kTemplateHeader, "1");
-        return response;
-      }
       Result<net::StreamingResponse> RoundTripStreaming(
           const http::Request&) override {
         class Chunks : public http::BodyStream {

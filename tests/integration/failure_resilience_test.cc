@@ -251,7 +251,8 @@ TEST(UnavailableResponseTest, All503PathsCarryRetryAfter) {
   });
   class DeadTransport : public net::Transport {
    public:
-    Result<http::Response> RoundTrip(const http::Request&) override {
+    Result<net::StreamingResponse> RoundTripStreaming(
+        const http::Request&) override {
       return Status::IoError("origin down");
     }
   } dead;
@@ -288,15 +289,18 @@ class UnresolvableMissTransport : public net::Transport {
   UnresolvableMissTransport(SimClock* clock, MicroTime cost_micros)
       : clock_(clock), cost_micros_(cost_micros) {}
 
-  Result<http::Response> RoundTrip(const http::Request&) override {
+  Result<net::StreamingResponse> RoundTripStreaming(
+      const http::Request&) override {
     ++round_trips_;
     clock_->AdvanceMicros(cost_micros_);
-    if (healthy_) return http::Response::MakeOk("fresh page body");
+    if (healthy_) {
+      return net::StreamWhole(http::Response::MakeOk("fresh page body"));
+    }
     std::string body;
     bem::TagCodec::AppendGet(/*key=*/7, body);  // In range, never SET.
     http::Response response = http::Response::MakeOk(std::move(body));
     response.headers.Set(bem::kTemplateHeader, "1");
-    return response;
+    return net::StreamWhole(std::move(response));
   }
 
   void set_healthy(bool healthy) { healthy_ = healthy; }

@@ -39,6 +39,7 @@ std::vector<uint64_t> Snapshot(const IngressCounters& c) {
           c.write_stall_closes.load(),
           c.oversize_headers.load(),
           c.oversize_bodies.load(),
+          c.bad_requests.load(),
           c.drained_connections.load()};
 }
 

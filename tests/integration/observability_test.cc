@@ -365,7 +365,8 @@ TEST_F(ObservabilityTest, ClientSuppliedRequestIdIsHonored) {
 
 class DeadTransport : public net::Transport {
  public:
-  Result<http::Response> RoundTrip(const http::Request&) override {
+  Result<net::StreamingResponse> RoundTripStreaming(
+      const http::Request&) override {
     return Status::IoError("origin down");
   }
 };

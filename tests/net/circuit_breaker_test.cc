@@ -1,5 +1,9 @@
 #include "net/circuit_breaker.h"
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
@@ -159,27 +163,19 @@ TEST(CircuitBreakerTest, StragglerResultWhileOpenIsIgnored) {
 
 class FlippableTransport : public Transport {
  public:
-  Result<http::Response> RoundTrip(const http::Request&) override {
+  Result<StreamingResponse> RoundTripStreaming(const http::Request&) override {
     ++round_trips_;
     if (fail_) return Status::IoError("origin down");
     if (answer_500_) {
-      return http::Response::MakeError(500, "Internal Server Error", "boom");
+      return StreamWhole(
+          http::Response::MakeError(500, "Internal Server Error", "boom"));
     }
-    return http::Response::MakeOk("ok");
-  }
-
-  // Counts the calls that reach the streaming path, then answers through
-  // the whole-body adapter over RoundTrip.
-  Result<StreamingResponse> RoundTripStreaming(
-      const http::Request& request) override {
-    ++streaming_round_trips_;
-    return Transport::RoundTripStreaming(request);
+    return StreamWhole(http::Response::MakeOk("ok"));
   }
 
   bool fail_ = false;
   bool answer_500_ = false;
   int round_trips_ = 0;
-  int streaming_round_trips_ = 0;
 };
 
 TEST(CircuitBreakerTransportTest, RejectionsNeverReachInnerTransport) {
@@ -249,14 +245,13 @@ TEST(CircuitBreakerTransportTest, StreamingPathTripsRejectsAndRecovers) {
     EXPECT_FALSE(transport.RoundTripStreaming(http::Request{}).ok());
   }
   ASSERT_EQ(transport.breaker().state(), BreakerState::kOpen);
-  // Forwarded to the inner streaming path, not adapted over RoundTrip.
-  EXPECT_EQ(inner.streaming_round_trips_, 4);
+  EXPECT_EQ(inner.round_trips_, 4);
 
   Result<StreamingResponse> rejected =
       transport.RoundTripStreaming(http::Request{});
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(IsBreakerRejection(rejected.status()));
-  EXPECT_EQ(inner.streaming_round_trips_, 4);  // Fast-failed, no dial.
+  EXPECT_EQ(inner.round_trips_, 4);  // Fast-failed, no dial.
 
   inner.fail_ = false;
   clock.AdvanceMicros(100 * kMicrosPerMilli);
@@ -286,7 +281,46 @@ TEST(CircuitBreakerTransportTest, Http5xxHeadCountsOnTheStreamingPath) {
     EXPECT_EQ(response->head.status_code, 500);
   }
   EXPECT_EQ(transport.breaker().state(), BreakerState::kOpen);
-  EXPECT_EQ(inner.streaming_round_trips_, 4);
+  EXPECT_EQ(inner.round_trips_, 4);
+}
+
+// The breaker forwards the inner stream: the caller pulls the body in the
+// inner transport's three chunks, not as one buffered chunk.
+TEST(CircuitBreakerTransportTest, ForwardsTheInnerStreamChunkByChunk) {
+  class ThreeChunks : public Transport {
+   public:
+    Result<StreamingResponse> RoundTripStreaming(
+        const http::Request&) override {
+      class Body : public http::BodyStream {
+       public:
+        Result<common::BufferChain> Next() override {
+          common::BufferChain out;
+          if (left_-- > 0) out.AppendCopy(std::string(100, 'c'));
+          return out;
+        }
+
+       private:
+        int left_ = 3;
+      };
+      StreamingResponse streaming;
+      streaming.head = http::Response::MakeOk("");
+      streaming.body = std::make_unique<Body>();
+      return streaming;
+    }
+  } inner;
+  CircuitBreakerTransport transport(&inner);
+  Result<StreamingResponse> response =
+      transport.RoundTripStreaming(http::Request{});
+  ASSERT_TRUE(response.ok());
+  std::vector<size_t> pulls;
+  for (;;) {
+    Result<common::BufferChain> chunk = response->body->Next();
+    ASSERT_TRUE(chunk.ok());
+    if (chunk->empty()) break;
+    pulls.push_back(chunk->size());
+  }
+  EXPECT_EQ(pulls, (std::vector<size_t>{100, 100, 100}));
+  EXPECT_EQ(transport.breaker().stats().window_samples, 1);
 }
 
 TEST(CircuitBreakerTransportTest, Http5xxIgnoredWhenDisabled) {

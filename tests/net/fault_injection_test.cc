@@ -104,15 +104,10 @@ TEST(FaultInjectionTest, DelayForwardsToInner) {
   EXPECT_EQ(stats.passed, 1u);
 }
 
-// Inner transport whose streaming path is observably different from its
-// buffered path: streaming yields the body in two chunks, and marks the
-// head so a test can tell which entry point actually ran.
+// Inner transport whose stream is observably its own: it yields the body
+// in two chunks, and marks the head so a test can tell it ran.
 class TwoChunkTransport : public Transport {
  public:
-  Result<http::Response> RoundTrip(const http::Request&) override {
-    return http::Response::MakeOk("buffered-path");
-  }
-
   Result<StreamingResponse> RoundTripStreaming(
       const http::Request&) override {
     StreamingResponse streaming;

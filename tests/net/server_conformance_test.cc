@@ -13,7 +13,7 @@
 //     "Connection: close", and counts the connection drained — even
 //     when the drain begins while the handler is still running;
 //   - a request whose framing a peer could read differently is answered
-//     400 and the connection closed, with nothing dispatched.
+//     400 (and counted) and the connection closed, with nothing dispatched.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -325,6 +325,7 @@ TEST_P(ServerConformanceTest, AmbiguousFramingIsRefusedWith400AndClosed) {
     EXPECT_EQ(response->status_code, 400) << framing;
     EXPECT_TRUE(WaitForEof(fd)) << framing;
     EXPECT_EQ(dispatched.load(), 0) << framing;
+    EXPECT_EQ(server.ingress().bad_requests.load(), 1u) << framing;
     ::close(fd);
     server.Stop();
   }

@@ -1,7 +1,7 @@
 // End-to-end streaming over real sockets: handlers that return a
 // Response::body_stream (served chunked by TcpServer and EpollServer) and
-// the client half (Transport::RoundTripStreaming on the buffered adapter
-// and on PooledClientTransport, whose RoundTrip drains the same stream).
+// the client half (Transport::RoundTripStreaming on DirectTransport and
+// on PooledClientTransport; RoundTrip drains the same stream).
 
 #include <atomic>
 #include <condition_variable>

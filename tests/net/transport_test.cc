@@ -47,16 +47,16 @@ TEST(MeteredTransportTest, NullMetersAreSkipped) {
   EXPECT_TRUE(transport.RoundTrip(request).ok());
 }
 
-// A response pulled as a stream must meter exactly what the same response
-// meters whole: payload and wire bytes, packets counted over the message.
-void ExpectStreamedMetersLikeWhole(std::unique_ptr<Transport> whole_inner,
-                                   std::unique_ptr<Transport> stream_inner) {
+// A response pulled as a stream must meter exactly what one RecordMessage
+// of the whole response's serialized size meters: payload and wire bytes,
+// packets counted over the message.
+void ExpectStreamedMetersLikeWhole(std::unique_ptr<Transport> stream_inner,
+                                   const http::Response& whole) {
   ByteMeter whole_meter;  // Default model: 40 B/packet, 1460 MSS, 120 B/msg.
+  whole_meter.RecordMessage(whole.SerializedSize());
   ByteMeter stream_meter;
-  MeteredTransport whole(std::move(whole_inner), nullptr, &whole_meter);
   MeteredTransport streamed(std::move(stream_inner), nullptr, &stream_meter);
   http::Request request;
-  ASSERT_TRUE(whole.RoundTrip(request).ok());
   Result<StreamingResponse> response = streamed.RoundTripStreaming(request);
   ASSERT_TRUE(response.ok());
   for (;;) {
@@ -70,15 +70,10 @@ void ExpectStreamedMetersLikeWhole(std::unique_ptr<Transport> whole_inner,
 }
 
 TEST(MeteredTransportTest, MultiChunkStreamMetersLikeWholeResponse) {
-  // The same 5000-byte response, whole or in three chunks of a head that
-  // declares its length, as a socket transport delivers it.
+  // A 5000-byte response in three chunks of a head that declares its
+  // length, as a socket transport delivers it.
   class ThreeChunks : public Transport {
    public:
-    Result<http::Response> RoundTrip(const http::Request&) override {
-      http::Response response = http::Response::MakeOk(std::string(5000, 'b'));
-      response.headers.Set("Content-Length", "5000");
-      return response;
-    }
     Result<StreamingResponse> RoundTripStreaming(
         const http::Request&) override {
       class Body : public http::BodyStream {
@@ -102,18 +97,19 @@ TEST(MeteredTransportTest, MultiChunkStreamMetersLikeWholeResponse) {
       return streaming;
     }
   };
-  ExpectStreamedMetersLikeWhole(std::make_unique<ThreeChunks>(),
-                                std::make_unique<ThreeChunks>());
+  http::Response whole = http::Response::MakeOk(std::string(5000, 'b'));
+  whole.headers.Set("Content-Length", "5000");
+  ExpectStreamedMetersLikeWhole(std::make_unique<ThreeChunks>(), whole);
 }
 
 TEST(MeteredTransportTest, InProcessStreamMetersLikeWholeResponse) {
-  // The default adapter's head declares the body length, so an in-process
+  // StreamWhole's head declares the body length, so an in-process
   // response does not meter as a Content-Length: 0 head plus a body.
   auto handler = [](const http::Request&) {
     return http::Response::MakeOk(std::string(3000, 'd'));
   };
   ExpectStreamedMetersLikeWhole(std::make_unique<DirectTransport>(handler),
-                                std::make_unique<DirectTransport>(handler));
+                                handler(http::Request{}));
 }
 
 TEST(IdempotencyTest, SafeToRetryRules) {

@@ -7,10 +7,11 @@ namespace {
 
 class FailingTransport : public net::Transport {
  public:
-  Result<http::Response> RoundTrip(const http::Request&) override {
+  Result<net::StreamingResponse> RoundTripStreaming(
+      const http::Request&) override {
     ++calls_;
     if (calls_ % 3 == 0) return Status::IoError("flaky link");
-    return http::Response::MakeOk("ok");
+    return net::StreamWhole(http::Response::MakeOk("ok"));
   }
 
  private:
