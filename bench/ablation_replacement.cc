@@ -39,8 +39,9 @@ int main() {
       (*testbed)->BeginMeasurement();
       (*testbed)->Run(8000);
       sim::Measurement m = (*testbed)->Collect();
-      std::printf("%8s %10u %14.4f %14llu %12llu %12llu\n", policy,
-                  capacity, m.RealizedHitRatio(),
+      std::printf("%8s %10llu %14.4f %14llu %12llu %12llu\n", policy,
+                  static_cast<unsigned long long>(capacity),
+                  m.RealizedHitRatio(),
                   static_cast<unsigned long long>(
                       (*testbed)->monitor()->stats().evictions),
                   static_cast<unsigned long long>(m.response_payload_bytes),

@@ -3,7 +3,8 @@
 #
 #   1. plain build + the full ctest suite (includes the docs-link check
 #      and the gcc fuzz-smoke corpus tests)
-#   2. the perfbench binary compiles (Release; not run)
+#   2. the perfbench binary compiles (Release) and one short run per
+#      workload answers every request with the right bytes (no timing)
 #   3. AddressSanitizer+UBSan over the memory-sensitive suites
 #   4. ThreadSanitizer over the threaded server/integration suites
 #   5. a fixed-seed chaos smoke: dynaprox_chaos under ASan, invariants
@@ -24,10 +25,28 @@ ctest --test-dir build --output-on-failure -j"$JOBS"
 # perfbench/run.py builds, yet it compiles against the net/ and dpc/ APIs:
 # it overrides both Transport virtuals and wires PooledClientTransport,
 # EpollServer and ProxyOptions. Building it here keeps an API change from
-# breaking the benchmark unnoticed. Running it is left to run.py.
-echo "== tier1: perfbench build (Release, not run) =="
+# breaking the benchmark unnoticed.
+echo "== tier1: perfbench build (Release) =="
 cmake -B build-perfbench -S perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-perfbench -j"$JOBS" --target perfbench
+
+# A correctness smoke, not a measurement: one 1 s run per workload must
+# report `correct` (every response byte-checked against the page it
+# asked for) with no failed request. Overlapping upstream responses are
+# where a stale splice shows, and only these runs drive the full stack
+# at load. No timing threshold; measuring is left to run.py.
+echo "== tier1: perfbench correctness smoke (1 s per workload) =="
+for workload in hot_small large_page churn; do
+  ./build-perfbench/perfbench --workload "$workload" --seed 1 --seconds 1 \
+      --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit("perfbench smoke: %s failed: %s" % (sys.argv[1], result))
+print("perfbench smoke: %s correct, %d requests" %
+      (sys.argv[1], result["attempted"]))
+' "$workload"
+done
 
 # The streaming suites (dpc/streaming_scanner_test, http/streaming_reader
 # _test, net/streaming_test, dpc/proxy_streaming_test) live inside these

@@ -252,19 +252,20 @@ std::vector<std::string> OriginServer::HandleRefreshHeader(
   std::vector<bem::DpcKey> keys;
   for (std::string_view key_hex : StrSplit(*refresh, ',')) {
     Result<uint64_t> key = ParseHex(StripWhitespace(key_hex));
-    if (!key.ok() || *key > bem::kInvalidDpcKey) {
+    if (!key.ok() || *key == bem::kInvalidDpcKey) {
       DYNAPROX_LOG(kWarning, "origin")
           << "bad refresh key '" << std::string(key_hex) << "'";
       continue;
     }
-    keys.push_back(static_cast<bem::DpcKey>(*key));
+    keys.push_back(*key);
   }
   // Pin in reverse so the free-list head ends up in listed (page) order:
-  // the re-render's first cold block reclaims the first listed key, and so
-  // on — each refreshed fragment keeps the dpcKey the DPC asked about.
+  // the re-render's first cold block reclaims the first listed key's slot,
+  // and so on — each refreshed fragment lands in the slot the DPC asked
+  // about, under the slot's next key.
   for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
-    // NotFound is fine: the key may already have been invalidated (or even
-    // reassigned) between the DPC's miss and this request.
+    // NotFound is fine: the key's slot may have lost its valid occupant
+    // between the DPC's miss and this request.
     Result<std::string> owner = monitor_->RefreshKey(*it);
     if (owner.ok()) {
       instruments_.refresh_invalidations->Increment();

@@ -50,12 +50,13 @@ void ScriptContext::Emit(std::string_view text) {
 void ScriptContext::RegisterAndEmit(
     const bem::FragmentId& id, MicroTime ttl_micros, std::string&& output,
     std::vector<std::pair<std::string, std::string>>&& deps,
-    std::string& out) {
+    uint64_t read_since, std::string& out) {
   const bool instrumented = timed();
   const Clock* clock = instrumented ? metrics_->clock : nullptr;
 
   ++stats_.misses;
-  Result<bem::DpcKey> key = monitor_->InsertFragment(id, ttl_micros, deps);
+  Result<bem::DpcKey> key =
+      monitor_->InsertFragment(id, ttl_micros, deps, read_since);
   if (!key.ok()) {
     // Directory full and unevictable: degrade to uncached emission.
     DYNAPROX_LOG(kWarning, "appserver")
@@ -153,8 +154,9 @@ Status ScriptContext::CacheableBlock(const bem::FragmentId& id,
     // generator runs against a throwaway child context whose only job is
     // collecting the fragment buffer and dependency declarations.
     ++stats_.parallel_blocks;
-    pending_blocks_.push_back(
-        PendingBlock{id, ttl_micros, generate, /*output=*/{}, /*deps=*/{}});
+    pending_blocks_.push_back(PendingBlock{id, ttl_micros, generate,
+                                           monitor_->update_sequence(),
+                                           /*output=*/{}, /*deps=*/{}});
     PendingBlock* pending = &pending_blocks_.back();
     segments_.push_back(Segment{std::move(body_), pending});
     body_.clear();
@@ -190,6 +192,7 @@ Status ScriptContext::CacheableBlock(const bem::FragmentId& id,
   in_block_ = true;
   block_buffer_.clear();
   pending_deps_.clear();
+  const uint64_t read_since = monitor_->update_sequence();
   MicroTime generate_start = instrumented ? clock->NowMicros() : 0;
   Status generated =
       chaos::InjectStatus(DYNAPROX_FAULT_POINT("bem.block.generate"));
@@ -206,7 +209,7 @@ Status ScriptContext::CacheableBlock(const bem::FragmentId& id,
   }
 
   RegisterAndEmit(id, ttl_micros, std::move(block_buffer_),
-                  std::move(pending_deps_), body_);
+                  std::move(pending_deps_), read_since, body_);
   block_buffer_.clear();
   pending_deps_.clear();
   return Status::Ok();
@@ -225,7 +228,7 @@ Status ScriptContext::FinishBlocks() {
 
   // Splice in page order: text, then the block's fragment. Inserts happen
   // here — in page order — so dpcKey assignment matches sequential
-  // execution exactly (critical for refresh-pinned key reuse).
+  // execution exactly (critical for refresh-pinned slot reuse).
   std::string assembled;
   for (Segment& segment : segments_) {
     assembled.append(segment.text);
@@ -255,7 +258,7 @@ Status ScriptContext::FinishBlocks() {
     RegisterAndEmit(pending.id, pending.ttl_micros,
                     pending.has_duplicate ? std::string(pending.output)
                                           : std::move(pending.output),
-                    std::move(pending.deps), assembled);
+                    std::move(pending.deps), pending.read_since, assembled);
   }
   assembled.append(body_);
   body_ = std::move(assembled);

@@ -78,7 +78,7 @@ struct ScriptMetrics {
 //   2. FinishBlocks() waits for the generators, then walks the holes in
 //      page order: insert into the directory, register dependencies, and
 //      splice the SET tag. Inserting in page order keeps dpcKey assignment
-//      identical to sequential execution (refresh-pinned keys land on the
+//      identical to sequential execution (refresh-pinned slots go to the
 //      right fragment), so the assembled template is byte-identical.
 // Generators must be safe to run off-thread: they may Emit and
 // DeclareDependency on the context they are handed, but must not touch
@@ -193,6 +193,8 @@ class ScriptContext {
     bem::FragmentId id;
     MicroTime ttl_micros;
     BlockFn generate;
+    // The monitor's update sequence before the generator ran.
+    uint64_t read_since;
     // Filled by the pool task, read after the done handshake.
     std::string output;
     std::vector<std::pair<std::string, std::string>> deps;
@@ -220,11 +222,12 @@ class ScriptContext {
 
   // Sequential miss path (also the parallel splice step, with the
   // generator already run). Caller has populated block_buffer_ /
-  // pending_deps_. Appends SET (or uncached literal) to `out`.
+  // pending_deps_; `read_since` is the monitor's update sequence from
+  // before the generator ran. Appends SET (or uncached literal) to `out`.
   void RegisterAndEmit(const bem::FragmentId& id, MicroTime ttl_micros,
                        std::string&& output,
                        std::vector<std::pair<std::string, std::string>>&& deps,
-                       std::string& out);
+                       uint64_t read_since, std::string& out);
 
   // Blocks until every dispatched generator has finished.
   void WaitForBlocks();

@@ -22,7 +22,8 @@ CacheDirectory::CacheDirectory(DpcKey capacity, const Clock* clock,
     : clock_(clock),
       policy_(std::move(policy)),
       free_list_(capacity),
-      key_owner_(capacity) {
+      slot_owner_(capacity),
+      next_generation_(capacity, 0) {
   assert(clock_ != nullptr);
   assert(policy_ != nullptr);
 }
@@ -44,32 +45,33 @@ void CacheDirectory::InvalidateEntryLocked(const std::string& canonical,
     std::lock_guard<common::ContendedMutex> policy_lock(policy_mu_);
     policy_->OnRemove(canonical);
   }
-  // The key goes to the back of the free list; the DPC is *not* told
-  // (paper 4.3.3: "No action is taken by the DPC"). A refresh-pinned key
-  // goes to the front instead: the DPC explicitly asked for this key to
-  // be regenerated, so the immediate re-render must reuse it.
-  Status released = pin_key ? free_list_.ReleaseFront(entry.key)
-                            : free_list_.Release(entry.key);
+  // The slot goes to the back of the free list; the DPC is *not* told
+  // (paper 4.3.3: "No action is taken by the DPC"). A refresh-pinned slot
+  // goes to the front instead: the DPC explicitly asked for this fragment
+  // to be regenerated, so the immediate re-render should land in it.
+  const DpcKey slot = SlotOf(entry.key, capacity());
+  Status released = pin_key ? free_list_.ReleaseFront(slot)
+                            : free_list_.Release(slot);
   assert(released.ok());
   (void)released;
 }
 
-void CacheDirectory::ReclaimKeyOwner(DpcKey key) {
+void CacheDirectory::ReclaimSlotOwner(DpcKey slot) {
   std::string owner;
   {
     std::lock_guard<std::mutex> owner_lock(owner_mu_);
-    owner.swap(key_owner_[key]);
+    owner.swap(slot_owner_[slot]);
   }
   if (owner.empty()) return;
   Stripe& stripe = StripeFor(owner);
   std::lock_guard<common::ContendedMutex> lock(stripe.mu);
   auto it = stripe.entries.find(owner);
   // Erase the stale entry only if it still is the invalid incarnation that
-  // released this key. (The owner record can be outdated: the fragment may
-  // have been re-inserted since under a different key, overwriting its
+  // released this slot. (The owner record can be outdated: the fragment
+  // may have been re-inserted since in a different slot, overwriting its
   // entry — in that case the entry is valid and must be kept.)
   if (it != stripe.entries.end() && !it->second.is_valid &&
-      it->second.key == key) {
+      SlotOf(it->second.key, capacity()) == slot) {
     stripe.entries.erase(it);
   }
 }
@@ -128,7 +130,8 @@ Status CacheDirectory::EvictOne() {
 
 Result<DpcKey> CacheDirectory::Insert(const FragmentId& id,
                                       MicroTime ttl_micros,
-                                      const DependencyList& deps) {
+                                      const DependencyList& deps,
+                                      uint64_t read_since) {
   if (Status injected = chaos::InjectStatus(
           DYNAPROX_FAULT_POINT("bem.directory.insert"));
       !injected.ok()) {
@@ -148,27 +151,28 @@ Result<DpcKey> CacheDirectory::Insert(const FragmentId& id,
     }
   }
 
-  // Phase B — allocate a key, evicting victims as needed. Runs with no
-  // stripe lock held: eviction touches arbitrary stripes. A freed key can
+  // Phase B — allocate a slot, evicting victims as needed. Runs with no
+  // stripe lock held: eviction touches arbitrary stripes. A freed slot can
   // be snatched by a concurrent Insert before our re-Allocate; that just
   // costs another round.
-  Result<DpcKey> key = Status::CapacityExceeded("unallocated");
+  Result<DpcKey> slot = Status::CapacityExceeded("unallocated");
   for (int round = 0; round < kMaxInsertRounds; ++round) {
     if (round > 0) insert_races_.fetch_add(1, std::memory_order_relaxed);
-    key = free_list_.Allocate();
-    if (key.ok()) break;
+    slot = free_list_.Allocate();
+    if (slot.ok()) break;
     Status evicted = EvictOne();
     if (evicted.IsCapacityExceeded()) return evicted;
   }
-  if (!key.ok()) {
+  if (!slot.ok()) {
     return Status::CapacityExceeded("insert retry limit exhausted");
   }
 
-  // Phase C — the allocated key may still be referenced by a stale invalid
-  // entry (possibly this very fragment's previous incarnation). We hold
-  // the key exclusively (it is off the free list), so no other thread can
-  // be reclaiming it.
-  ReclaimKeyOwner(*key);
+  // Phase C — the allocated slot may still be referenced by a stale
+  // invalid entry (possibly this very fragment's previous incarnation). We
+  // hold the slot exclusively (it is off the free list), so no other
+  // thread can be reclaiming it or reading its generation.
+  ReclaimSlotOwner(*slot);
+  const DpcKey key = next_generation_[*slot]++ * capacity() + *slot;
 
   // Phase D — publish the entry with its dependencies. Re-check for a
   // concurrent insert of the same fragment that won between phases A and
@@ -183,13 +187,13 @@ Result<DpcKey> CacheDirectory::Insert(const FragmentId& id,
       InvalidateEntryLocked(canonical, it->second);
     }
     stripe.entries[canonical] =
-        Entry{*key, /*is_valid=*/true, ttl_micros, clock_->NowMicros()};
+        Entry{key, /*is_valid=*/true, ttl_micros, clock_->NowMicros()};
     for (const auto& [table, row_key] : deps) {
       registry_.Add(canonical, table, row_key);
     }
     {
       std::lock_guard<std::mutex> owner_lock(owner_mu_);
-      key_owner_[*key] = canonical;
+      slot_owner_[*slot] = canonical;
     }
     valid_count_.fetch_add(1, std::memory_order_relaxed);
     inserts_.fetch_add(1, std::memory_order_relaxed);
@@ -198,8 +202,20 @@ Result<DpcKey> CacheDirectory::Insert(const FragmentId& id,
       policy_->OnInsert(canonical);
     }
   }
-  DYNAPROX_LOG(kDebug, "bem") << "insert " << canonical << " -> key " << *key;
-  return *key;
+  // Checked after the publish: an update recorded before this check is
+  // seen here, and one recorded after it invalidates the entry itself.
+  if (read_since != kNoReadSince &&
+      registry_.UpdatedSince(read_since, deps)) {
+    std::lock_guard<common::ContendedMutex> lock(stripe.mu);
+    auto it = stripe.entries.find(canonical);
+    if (it != stripe.entries.end() && it->second.is_valid &&
+        it->second.key == key) {
+      explicit_invalidations_.fetch_add(1, std::memory_order_relaxed);
+      InvalidateEntryLocked(canonical, it->second);
+    }
+  }
+  DYNAPROX_LOG(kDebug, "bem") << "insert " << canonical << " -> key " << key;
+  return key;
 }
 
 Status CacheDirectory::Invalidate(const FragmentId& id) {
@@ -219,14 +235,10 @@ Status CacheDirectory::InvalidateCanonical(const std::string& canonical) {
 }
 
 Result<std::string> CacheDirectory::InvalidateKey(DpcKey key, bool pin_key) {
-  if (key >= key_owner_.size()) {
-    return Status::InvalidArgument("dpcKey out of range: " +
-                                   std::to_string(key));
-  }
   std::string owner;
   {
     std::lock_guard<std::mutex> owner_lock(owner_mu_);
-    owner = key_owner_[key];
+    owner = slot_owner_[SlotOf(key, capacity())];
   }
   if (owner.empty()) {
     return Status::NotFound("key has no owner: " + std::to_string(key));
@@ -234,10 +246,17 @@ Result<std::string> CacheDirectory::InvalidateKey(DpcKey key, bool pin_key) {
   Stripe& stripe = StripeFor(owner);
   std::lock_guard<common::ContendedMutex> lock(stripe.mu);
   // Re-validate under the stripe lock: the owner record was read without
-  // it, and the key may have been reassigned in between.
+  // it, and the slot may have been reassigned in between. A plain
+  // invalidation matches only the exact key. A refresh matches the slot's
+  // valid occupant under any generation: another refresh may have
+  // re-keyed the fragment the DPC asks about into the slot's next
+  // generation, and only the slot's next SET can fill the DPC's hole.
   auto it = stripe.entries.find(owner);
-  if (it == stripe.entries.end() || !it->second.is_valid ||
-      it->second.key != key) {
+  const bool matches =
+      it != stripe.entries.end() &&
+      (pin_key ? SlotOf(it->second.key, capacity()) == SlotOf(key, capacity())
+               : it->second.key == key);
+  if (!matches || !it->second.is_valid) {
     return Status::NotFound("key has no valid owner: " + std::to_string(key));
   }
   explicit_invalidations_.fetch_add(1, std::memory_order_relaxed);

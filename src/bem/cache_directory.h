@@ -54,11 +54,17 @@ struct DirectoryStats {
 // what the DPC holds. Maps fragmentID -> {dpcKey, isValid, ttl}, and owns
 // the data-source dependencies of every valid entry.
 //
+// Keys carry a generation (bem::DpcKey): each assignment of a slot hands
+// out key = generation * capacity + slot and then bumps the slot's
+// generation, so a reassigned slot never repeats a key and a DPC holding
+// the slot's previous occupant can tell it from the new one. A slot's
+// first assignment keeps key == slot.
+//
 // Lifecycle invariants (tested in cache_directory_test.cc, monitor_test.cc
 // and concurrency_test.cc):
-//  * Every key in [0, capacity) is either on the free list or owned by
+//  * Every slot in [0, capacity) is either on the free list or owned by
 //    exactly one VALID entry... with one paper-faithful subtlety: an
-//    INVALID entry keeps referencing its released key until that key is
+//    INVALID entry keeps referencing its released slot until that slot is
 //    reassigned, at which point the stale entry is reclaimed. ("invalid
 //    fragments are not explicitly removed from the DPC; the slots simply
 //    remain unused until they are subsequently assigned to a new fragment")
@@ -80,13 +86,13 @@ struct DirectoryStats {
 // one directory mutex. Counters are relaxed atomics.
 //
 // Lock hierarchy (deadlock discipline): a stripe mutex may be held while
-// taking the policy mutex, the key-owner mutex, the dependency registry's
+// taking the policy mutex, the slot-owner mutex, the dependency registry's
 // mutex, or the free list's internal mutex — all leaves. Nothing takes a
 // stripe mutex while holding the registry mutex: a data-source update
 // reads DependencyRegistry::Affected first and invalidates after it
 // returns. No operation ever holds two stripe mutexes,
 // and cross-stripe work (eviction of a victim in another stripe, reclaim
-// of a stale key owner) runs with no stripe mutex held, re-validating
+// of a stale slot owner) runs with no stripe mutex held, re-validating
 // under the target stripe's lock. The replacement policy stays one global
 // instance behind its own mutex so victim selection keeps the exact
 // sequential LRU/FIFO/CLOCK semantics the model tests and
@@ -106,27 +112,52 @@ class CacheDirectory {
   LookupResult Lookup(const FragmentId& id);
 
   // Registers `id` as cached with the data-source dependencies `deps` and
-  // returns its new dpcKey. If the key space is full, evicts a victim
-  // chosen by the replacement policy. Re-inserting a currently-valid
+  // returns its new dpcKey, one generation past the slot's previous key.
+  // If every slot is taken, evicts a victim chosen by the replacement
+  // policy. Re-inserting a currently-valid
   // fragment first invalidates it (fresh key, and `deps` replace its old
   // dependencies), matching the paper's miss-path ("an entry is inserted
   // into the cache directory").
+  //
+  // `read_since` is update_sequence() as read before the fragment's code
+  // block read the data source. An update of one of `deps` recorded since
+  // then (NoteUpdate) may have landed after that read, when no valid
+  // entry existed for it to invalidate: the entry is then invalidated
+  // right after it is published, so the next lookup re-renders it. The
+  // key is still returned — the content is what this render saw.
+  // kNoReadSince skips the check.
+  static constexpr uint64_t kNoReadSince = UINT64_MAX;
   Result<DpcKey> Insert(const FragmentId& id, MicroTime ttl_micros,
-                        const DependencyList& deps = {});
+                        const DependencyList& deps = {},
+                        uint64_t read_since = kNoReadSince);
+
+  // The data-source update sequence: the number of updates recorded.
+  uint64_t update_sequence() const { return registry_.update_sequence(); }
+  // Records a data-source update for Insert's check. Call it before
+  // invalidating the fragments the update affects.
+  void NoteUpdate(const storage::UpdateEvent& event) {
+    registry_.NoteUpdate(event);
+  }
 
   // Marks `id` invalid and pushes its key on the free list. NotFound if the
   // fragment is unknown or already invalid.
   Status Invalidate(const FragmentId& id);
   Status InvalidateCanonical(const std::string& canonical);
 
-  // Invalidates whichever valid fragment currently owns `key` (used by the
+  // Invalidates the valid fragment that owns exactly `key` (used by the
   // DPC cold-cache recovery protocol, which only knows dpcKeys). Returns
-  // the canonical id invalidated; NotFound if no valid owner. With
-  // `pin_key` the key is released to the FRONT of the free list so the
-  // next Insert — normally the refresh re-render of this very fragment —
-  // gets the same key back. The DPC's streamed recovery depends on that:
-  // it has already committed `GET key` to the client and can only fill
-  // the slot if the refreshed template SETs the same key.
+  // the canonical id invalidated; NotFound if no valid entry holds that
+  // key (never assigned, invalidated, or its slot reassigned since).
+  //
+  // With `pin_key` (a refresh) it invalidates the valid occupant of
+  // `key`'s slot whatever its generation, and releases the slot to the
+  // FRONT of the free list so the next Insert — normally the refresh
+  // re-render of this very fragment — lands in the same slot, under the
+  // slot's next key. The DPC's streamed recovery depends on that: it has
+  // already committed `GET key` to the client and fills that hole with
+  // the refreshed template's SET into the same slot. Two responses that
+  // miss the same key each get that SET: the first refresh re-keys the
+  // fragment, and the second still finds it by its slot.
   Result<std::string> InvalidateKey(DpcKey key, bool pin_key = false);
 
   // Invalidates every valid entry; returns how many.
@@ -135,12 +166,13 @@ class CacheDirectory {
   // Proactively invalidates expired entries; returns how many.
   size_t SweepExpired();
 
-  // Introspection.
+  // Introspection. capacity() is the slot count.
   DpcKey capacity() const { return free_list_.capacity(); }
   size_t entry_count() const;
   size_t valid_count() const {
     return valid_count_.load(std::memory_order_relaxed);
   }
+  // Slots on the free list (the paper's free dpcKeys).
   size_t free_key_count() const { return free_list_.free_count(); }
   DirectoryStats stats() const;
   const ReplacementPolicy& policy() const { return *policy_; }
@@ -192,14 +224,15 @@ class CacheDirectory {
 
   bool Expired(const Entry& entry) const;
   // Shared invalidation: flips the flag, drops the dependencies, releases
-  // the key, updates policy. Caller holds the entry's stripe mutex.
+  // the slot, updates policy. Caller holds the entry's stripe mutex.
   // `pin_key` releases to the front of the free list (refresh reuse).
   void InvalidateEntryLocked(const std::string& canonical, Entry& entry,
                              bool pin_key = false);
-  // Reclaims the stale invalid entry (if any) that still references `key`.
-  // Takes the owner's stripe lock itself; caller must hold NO stripe lock.
-  void ReclaimKeyOwner(DpcKey key);
-  // Frees one key by evicting a policy victim. CapacityExceeded when the
+  // Reclaims the stale invalid entry (if any) that still references
+  // `slot`. Takes the owner's stripe lock itself; caller must hold NO
+  // stripe lock.
+  void ReclaimSlotOwner(DpcKey slot);
+  // Frees one slot by evicting a policy victim. CapacityExceeded when the
   // policy has no candidates. Caller must hold NO stripe lock.
   Status EvictOne();
 
@@ -210,11 +243,15 @@ class CacheDirectory {
   // Written only under the stripe lock of the fragment concerned.
   DependencyRegistry registry_;  // Internally synchronized.
   mutable std::array<Stripe, kStripes> stripes_;
-  // key -> canonical fragment id of the entry referencing it ("" if none).
-  // Guarded by owner_mu_ (leaf lock; element k is only rewritten by the
-  // thread that currently holds key k out of the free list).
+  // slot -> canonical fragment id of the entry referencing it ("" if
+  // none). Guarded by owner_mu_ (leaf lock; element s is only rewritten by
+  // the thread that currently holds slot s out of the free list).
   mutable std::mutex owner_mu_;
-  std::vector<std::string> key_owner_;
+  std::vector<std::string> slot_owner_;
+  // slot -> generation of its next assignment. Element s is read and
+  // bumped only by the thread holding slot s out of the free list, whose
+  // mutex orders successive holders.
+  std::vector<DpcKey> next_generation_;
 
   std::atomic<size_t> valid_count_{0};
   std::atomic<uint64_t> hits_{0};

@@ -3,7 +3,7 @@
 namespace dynaprox::bem {
 
 FreeList::FreeList(DpcKey capacity) : capacity_(capacity) {
-  for (DpcKey key = 0; key < capacity; ++key) list_.push_back(key);
+  for (DpcKey slot = 0; slot < capacity; ++slot) list_.push_back(slot);
 }
 
 Result<DpcKey> FreeList::Allocate() {
@@ -11,34 +11,34 @@ Result<DpcKey> FreeList::Allocate() {
   if (list_.empty()) {
     return Status::CapacityExceeded("free list exhausted");
   }
-  DpcKey key = list_.front();
+  DpcKey slot = list_.front();
   list_.pop_front();
-  return key;
+  return slot;
 }
 
-Status FreeList::Release(DpcKey key) {
-  if (key >= capacity_) {
-    return Status::InvalidArgument("dpcKey out of range: " +
-                                   std::to_string(key));
+Status FreeList::Release(DpcKey slot) {
+  if (slot >= capacity_) {
+    return Status::InvalidArgument("slot out of range: " +
+                                   std::to_string(slot));
   }
   std::lock_guard<common::ContendedMutex> lock(mu_);
   if (list_.size() >= capacity_) {
     return Status::FailedPrecondition("free list already full");
   }
-  list_.push_back(key);
+  list_.push_back(slot);
   return Status::Ok();
 }
 
-Status FreeList::ReleaseFront(DpcKey key) {
-  if (key >= capacity_) {
-    return Status::InvalidArgument("dpcKey out of range: " +
-                                   std::to_string(key));
+Status FreeList::ReleaseFront(DpcKey slot) {
+  if (slot >= capacity_) {
+    return Status::InvalidArgument("slot out of range: " +
+                                   std::to_string(slot));
   }
   std::lock_guard<common::ContendedMutex> lock(mu_);
   if (list_.size() >= capacity_) {
     return Status::FailedPrecondition("free list already full");
   }
-  list_.push_front(key);
+  list_.push_front(slot);
   return Status::Ok();
 }
 

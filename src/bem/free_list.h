@@ -10,11 +10,13 @@
 
 namespace dynaprox::bem {
 
-// FIFO free list of dpcKeys (paper 4.3.3). Initially holds every key in
-// [0, capacity). When a fragment becomes invalid its key is pushed at the
-// *end*, so a key is only reassigned after all keys freed before it — giving
-// invalid DPC slots the longest possible grace period before they are
-// overwritten by a SET for a different fragment.
+// FIFO free list of DPC slots (paper 4.3.3's free dpcKeys; the directory
+// turns a slot into a key by adding the slot's generation, see
+// bem::DpcKey). Initially holds every slot in [0, capacity). When a
+// fragment becomes invalid its slot is pushed at the *end*, so a slot is
+// only reassigned after all slots freed before it — giving invalid DPC
+// slots the longest possible grace period before they are overwritten by a
+// SET for a different fragment.
 //
 // Paper requirement: "the size of the freeList should be at least as large
 // as the maximum cache size" — enforced: Release on a full list fails.
@@ -27,21 +29,22 @@ namespace dynaprox::bem {
 // next bottleneck.
 class FreeList {
  public:
-  // Fills the list with keys 0..capacity-1.
+  // Fills the list with slots 0..capacity-1.
   explicit FreeList(DpcKey capacity);
 
-  // Pops the oldest free key; CapacityExceeded when none are free.
+  // Pops the oldest free slot; CapacityExceeded when none are free.
   Result<DpcKey> Allocate();
 
-  // Returns `key` to the tail. Fails on out-of-range keys and when the list
-  // is already full (double release).
-  Status Release(DpcKey key);
+  // Returns `slot` to the tail. Fails on out-of-range slots and when the
+  // list is already full (double release).
+  Status Release(DpcKey slot);
 
-  // Returns `key` to the HEAD, so the next Allocate hands it right back.
+  // Returns `slot` to the HEAD, so the next Allocate hands it right back.
   // Used by refresh-driven invalidation (DPC cold-cache recovery): the DPC
-  // asked for this exact key to be regenerated, so the re-rendered fragment
-  // must reuse it — a committed stream is waiting to splice `GET key`.
-  Status ReleaseFront(DpcKey key);
+  // asked for this slot's fragment to be regenerated, so the re-rendered
+  // fragment should land in it — a committed stream is waiting to splice
+  // `GET key` there.
+  Status ReleaseFront(DpcKey slot);
 
   size_t free_count() const {
     std::lock_guard<common::ContendedMutex> lock(mu_);
@@ -56,7 +59,7 @@ class FreeList {
  private:
   const DpcKey capacity_;
   mutable common::ContendedMutex mu_;
-  std::deque<DpcKey> list_;  // Guarded by mu_.
+  std::deque<DpcKey> list_;  // Slots; guarded by mu_.
 };
 
 }  // namespace dynaprox::bem

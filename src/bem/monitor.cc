@@ -37,9 +37,10 @@ LookupResult BackEndMonitor::LookupFragment(const FragmentId& id) {
 
 Result<DpcKey> BackEndMonitor::InsertFragment(const FragmentId& id,
                                               MicroTime ttl_micros,
-                                              const DependencyList& deps) {
+                                              const DependencyList& deps,
+                                              uint64_t read_since) {
   if (ttl_micros < 0) ttl_micros = default_ttl_micros_;
-  Result<DpcKey> key = directory_.Insert(id, ttl_micros, deps);
+  Result<DpcKey> key = directory_.Insert(id, ttl_micros, deps, read_since);
   if (key.ok()) {
     if (FragmentEventObserver* obs = observer(); obs != nullptr) {
       obs->OnInsert(id.Canonical(), *key);
@@ -99,6 +100,9 @@ void BackEndMonitor::DetachRepository() {
 }
 
 size_t BackEndMonitor::OnDataSourceUpdate(const storage::UpdateEvent& event) {
+  // Recorded first: an insert that misses this record has published its
+  // entry already, and Affected below finds it.
+  directory_.NoteUpdate(event);
   size_t count = 0;
   // Affected releases the registry lock before any stripe lock is taken;
   // invalidating a fragment drops its dependencies under its stripe lock.

@@ -70,13 +70,13 @@ class FragmentEventObserver {
 // Cross-structure ordering note: the directory publishes an entry together
 // with its dependencies and drops them in the same step that invalidates
 // it, under one stripe lock, so a data-source update either sees a
-// fragment's current incarnation or finds it already invalid. One window
-// stays open: a code block reads the data source before InsertFragment
-// publishes its output. An update that lands between that read and the
-// publish finds no valid incarnation to invalidate, and the stale output
-// stays cached until its TTL, eviction or the next update of that row.
-// The DPC's recovery protocol does not cover this: it refetches keys the
-// DPC is missing and cannot see stale content.
+// fragment's current incarnation or finds it already invalid. A code
+// block reads the data source before InsertFragment publishes its output,
+// so an update can land in between, when there is no valid incarnation
+// to invalidate. The tagging API closes that window with the update
+// sequence: it reads update_sequence() before the block runs and passes
+// it to InsertFragment, which invalidates the fresh entry at once if one
+// of its dependencies was updated since (CacheDirectory::Insert).
 class BackEndMonitor {
  public:
   // Builds a monitor; fails on an unknown replacement policy name.
@@ -91,9 +91,15 @@ class BackEndMonitor {
   // depends on (`deps`; future updates of them invalidate it) and returns
   // the dpcKey for the SET instruction. `ttl_micros` < 0 uses the
   // configured default.
-  Result<DpcKey> InsertFragment(const FragmentId& id,
-                                MicroTime ttl_micros = -1,
-                                const DependencyList& deps = {});
+  // `read_since` is update_sequence() as read before the block read the
+  // data source (see CacheDirectory::Insert).
+  Result<DpcKey> InsertFragment(
+      const FragmentId& id, MicroTime ttl_micros = -1,
+      const DependencyList& deps = {},
+      uint64_t read_since = CacheDirectory::kNoReadSince);
+
+  // Data-source updates this monitor has seen (see InsertFragment).
+  uint64_t update_sequence() const { return directory_.update_sequence(); }
 
   // --- Invalidation-manager entry points ---
 
@@ -101,10 +107,13 @@ class BackEndMonitor {
   Status Invalidate(const FragmentId& id);
   Status InvalidateKey(DpcKey key);
   // Refresh-protocol invalidation (X-DPC-Refresh): like InvalidateKey, but
-  // pins the key for immediate reuse so the re-rendered fragment keeps the
-  // same dpcKey. The DPC's streamed recovery has already committed
-  // `GET key` to the client and needs the refreshed SET under that key.
-  // Returns the canonical fragment id the key belonged to: the caller must
+  // takes the slot's current occupant under any generation and pins the
+  // slot for immediate reuse, so the re-rendered fragment lands in the
+  // same slot under the slot's next key (CacheDirectory::InvalidateKey).
+  // The DPC's streamed recovery has already committed `GET key` to the
+  // client and fills that hole with the refreshed template's SET into
+  // the same slot.
+  // Returns the canonical fragment id the slot belonged to: the caller must
   // force the re-render to treat that fragment as a miss, because a
   // concurrent request can re-insert it between this invalidation and the
   // re-render's lookup — the lookup would then hit and emit GET for

@@ -46,7 +46,7 @@ void TagCodec::AppendGet(DpcKey key, std::string& out) {
 }
 
 size_t TagCodec::GetTagSize(DpcKey key) {
-  return 3 + (std::bit_width(key | 1u) + 3) / 4;  // Key 0 is one digit.
+  return 3 + (std::bit_width(key | 1) + 3) / 4;  // Key 0 is one digit.
 }
 
 }  // namespace dynaprox::bem

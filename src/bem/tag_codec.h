@@ -22,9 +22,18 @@ namespace dynaprox::bem {
 // Escaping costs one copy of the bytes: each STX-free run is found with one
 // memchr and appended whole.
 //
+// The key is the whole dpcKey, generation included (bem::DpcKey: key =
+// generation * capacity + slot), written as one hex run; the grammar has
+// no separate generation field. The DPC matches a GET only to a slot that
+// holds exactly that key, so a GET never splices the slot's previous or
+// next occupant.
+//
 // A GET tag is 3 bytes plus the minimal hex digits of its key (GetTagSize),
 // so small key spaces realize tags well under the paper's Table 2 g = 10:
-// 4.4 B per GET on perfbench's hot_small (keys 0..0x27).
+// 4.4 B per GET on perfbench's hot_small (keys 0..0x27). A slot's first
+// assignment keeps key == slot, and each reassignment adds `capacity`:
+// with 1,024 slots a key has three hex digits for its slot's first four
+// assignments and four up to the 64th.
 class TagCodec {
  public:
   static constexpr char kStx = '\x02';

@@ -8,12 +8,24 @@
 
 namespace dynaprox::bem {
 
-// The dpcKey of the paper (4.3.3): a small integer shared between the BEM's
+// The dpcKey of the paper (4.3.3): an integer shared between the BEM's
 // cache directory and the DPC's slot array. Using the common integer key is
 // what removes the need for explicit BEM->DPC control messages.
-using DpcKey = uint32_t;
+//
+// A key names a slot and the generation of the slot's occupant:
+// key = generation * capacity + slot, where `capacity` is the slot count
+// and the generation counts the slot's earlier assignments. A slot's first
+// occupant therefore has key == slot, and a reassigned slot never repeats
+// a key: the DPC can tell a fragment from the slot's previous occupant.
+// 64 bits keep the generation from wrapping.
+using DpcKey = uint64_t;
 
-inline constexpr DpcKey kInvalidDpcKey = UINT32_MAX;
+inline constexpr DpcKey kInvalidDpcKey = UINT64_MAX;
+
+// The slot `key` addresses in a key space of `capacity` slots.
+inline constexpr DpcKey SlotOf(DpcKey key, DpcKey capacity) {
+  return key % capacity;
+}
 
 // Identifies a fragment: code-block name plus its parameter list
 // (paper 4.3.3: "fragmentID: unique fragment identifier

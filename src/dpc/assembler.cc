@@ -31,7 +31,8 @@ Status StreamingAssembler::Execute(Status scanned, MicroTime scan_start,
             std::make_shared<const std::string>(segment.Text());
         progress_.bytes_copied += fragment->size();
         sink->Append(fragment);
-        DYNAPROX_RETURN_IF_ERROR(store_.Set(segment.key, std::move(fragment)));
+        DYNAPROX_RETURN_IF_ERROR(
+            store_.Set(segment.key, std::move(fragment), carrier_));
         break;
       }
       case StreamSegment::Kind::kGet: {
@@ -62,13 +63,19 @@ Status StreamingAssembler::FillHoles(common::BufferChain& out) {
       keys.push_back(hole.key);
     }
   }
-  DYNAPROX_RETURN_IF_ERROR(miss_resolver_(keys));
+  std::vector<FragmentRef> found(keys.size());
+  DYNAPROX_RETURN_IF_ERROR(miss_resolver_(keys, found));
   MicroTime resolved_at = Now();
   for (Hole& hole : holes_) {
-    Result<FragmentRef> content = store_.Get(hole.key);
-    if (!content.ok()) return content.status();
-    progress_.bytes_referenced += (*content)->size();
-    out.Append(std::move(*content));
+    const size_t index = static_cast<size_t>(
+        std::find(keys.begin(), keys.end(), hole.key) - keys.begin());
+    FragmentRef& content = found[index];
+    if (content == nullptr) {
+      return Status::NotFound("no fragment for key " +
+                              std::to_string(hole.key));
+    }
+    progress_.bytes_referenced += content->size();
+    out.Append(content);
     out.Append(std::move(hole.after));
   }
   progress_.splice_micros += Now() - resolved_at;

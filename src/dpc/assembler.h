@@ -42,24 +42,33 @@ struct StreamProgress {
 // store's fragment buffers, and each SET payload is materialized once into
 // a buffer shared by the store slot and `out`.
 //
-// Cold-cache GET misses are resolved inline, once per Feed()/Finish()
-// call: the call's misses leave holes in its output, the MissResolver is
-// asked for all of them at once (the proxy peer-fills, then sends one
-// refresh round trip upstream), and the holes are filled by re-reading
-// the store. Without a resolver a miss fails the call with NotFound.
+// GET misses — a slot that does not hold exactly the GET's key — are
+// resolved inline, once per Feed()/Finish() call: the call's misses leave
+// holes in its output, the MissResolver is asked for all of them at once
+// (the proxy waits for SETs in flight, peer-fills, then sends one refresh
+// round trip upstream), and each hole is filled with the fragment the
+// resolver found for it. Without a resolver a miss fails the call with
+// NotFound.
 class StreamingAssembler {
  public:
-  // Brings `keys` (one call's GET misses, template order, no duplicates)
-  // into the store. An error fails the Feed()/Finish() call with it.
-  using MissResolver = std::function<Status(const std::vector<bem::DpcKey>&)>;
+  // Finds content for `keys` (one call's GET misses, template order, no
+  // duplicates): `found` arrives with one null entry per key, and each
+  // entry the resolver sets fills that key's holes. An error, or an entry
+  // left null, fails the Feed()/Finish() call.
+  using MissResolver = std::function<Status(
+      const std::vector<bem::DpcKey>& keys, std::vector<FragmentRef>& found)>;
 
   // `clock` times the scan and splice stages (progress()); may be null.
+  // `carrier` is the store writer of the upstream response the template
+  // arrives in, passed with each SET (FragmentStore::Set); may be null.
   explicit StreamingAssembler(FragmentStore& store,
                               MissResolver miss_resolver = nullptr,
-                              const Clock* clock = nullptr)
+                              const Clock* clock = nullptr,
+                              const FragmentStore::Writer* carrier = nullptr)
       : store_(store),
         miss_resolver_(std::move(miss_resolver)),
-        clock_(clock) {}
+        clock_(clock),
+        carrier_(carrier) {}
 
   // Scans `bytes` (which must alias `*owner`), appending every assembled
   // byte that resolves within this chunk to `out`.
@@ -97,6 +106,7 @@ class StreamingAssembler {
   StreamingScanner scanner_;
   MissResolver miss_resolver_;
   const Clock* clock_;
+  const FragmentStore::Writer* carrier_;
   StreamProgress progress_;
   std::vector<StreamSegment> segments_;  // Reused across calls.
   std::vector<Hole> holes_;              // Reused across calls.

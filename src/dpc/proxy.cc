@@ -1,5 +1,8 @@
 #include "dpc/proxy.h"
 
+#include <algorithm>
+#include <chrono>
+
 #include "common/deadline.h"
 #include "common/fault_point.h"
 #include "common/logging.h"
@@ -43,6 +46,13 @@ void AppendVia(http::HeaderMap& headers, const std::string& token) {
 double MicrosToSeconds(MicroTime micros) {
   return static_cast<double>(micros) / kMicrosPerSecond;
 }
+
+// Longest a GET miss waits for a SET still in flight in another response
+// before it goes to peer fetch and refresh. The wait normally ends much
+// sooner, when the SET lands or the responses it could come from are
+// scanned; this bounds pathological cases such as a response whose scan
+// is paced by a slow client.
+constexpr MicroTime kSetWaitBackstopMicros = 50 * kMicrosPerMilli;
 
 // Upstream round trip behind the "dpc.upstream" fault point. Error-class
 // actions fail the fetch before it leaves the proxy; garbage delivers an
@@ -110,6 +120,9 @@ struct DpcProxy::Exchange {
   size_t received = 0;
   common::BufferChain rest;
   std::optional<StreamingAssembler> assembler;  // Templates only.
+  // Open while the upstream template's SETs may still reach the store:
+  // from before the request goes out until the template is scanned.
+  FragmentStore::Writer writer;
   // A cache wants the delivered page (GET: a static-cacheable passthrough,
   // or a 200 with serve-stale on).
   bool keep = false;
@@ -308,12 +321,22 @@ void DpcProxy::RegisterMetrics() {
       [this] { return store_.stats().gets; });
   registry_.RegisterCallbackCounter(
       "dynaprox_store_get_misses_total",
-      "GET instructions that found an empty slot.",
+      "GET instructions whose slot did not hold their exact dpcKey.",
       [this] { return store_.stats().get_misses; });
   registry_.RegisterCallbackCounter(
       "dynaprox_store_pushes_total",
       "Slots populated via the control channel (SetPushed).",
       [this] { return store_.stats().pushes; });
+  registry_.RegisterCallbackCounter(
+      "dynaprox_store_stale_sets_total",
+      "SETs and pushes dropped because their slot already held a newer "
+      "dpcKey and no response in flight could still ask for them.",
+      [this] { return store_.stats().stale_sets; });
+  registry_.RegisterCallbackCounter(
+      "dynaprox_store_set_waits_total",
+      "GET misses that waited for a SET still in flight in another "
+      "upstream response.",
+      [this] { return store_.stats().set_waits; });
   registry_.RegisterCallbackGauge(
       "dynaprox_store_pushed_slots",
       "Slots whose current content arrived via a push.",
@@ -548,7 +571,7 @@ http::Response DpcProxy::HandlePush(const http::Request& request) {
                                      "missing X-DPC-Push-Key header");
   }
   Result<uint64_t> key = ParseHex(*key_header);
-  if (!key.ok() || *key > bem::kInvalidDpcKey) {
+  if (!key.ok() || *key == bem::kInvalidDpcKey) {
     return http::Response::MakeError(400, "Bad Request",
                                      "bad X-DPC-Push-Key header");
   }
@@ -563,8 +586,7 @@ http::Response DpcProxy::HandlePush(const http::Request& request) {
     age = static_cast<MicroTime>(*parsed);
   }
   Status applied = ApplyPush(
-      static_cast<bem::DpcKey>(*key),
-      std::make_shared<const std::string>(request.body), age);
+      *key, std::make_shared<const std::string>(request.body), age);
   if (!applied.ok()) {
     return http::Response::MakeError(400, "Bad Request",
                                      applied.ToString());
@@ -583,11 +605,11 @@ http::Response DpcProxy::HandleFragment(const http::Request& request) {
                                      "missing key query parameter");
   }
   Result<uint64_t> key = ParseHex(it->second);
-  if (!key.ok() || *key > bem::kInvalidDpcKey) {
+  if (!key.ok() || *key == bem::kInvalidDpcKey) {
     return http::Response::MakeError(400, "Bad Request",
                                      "bad key query parameter");
   }
-  bem::DpcKey dpc_key = static_cast<bem::DpcKey>(*key);
+  const bem::DpcKey dpc_key = *key;
   Result<FragmentRef> fragment = store_.Get(dpc_key);
   if (!fragment.ok()) {
     return http::Response::MakeError(404, "Not Found",
@@ -728,6 +750,7 @@ http::Response DpcProxy::Proxy(std::unique_ptr<Exchange>& x,
       revalidating = true;
     }
   }
+  x->writer = store_.OpenWriter();
   Result<net::StreamingResponse> upstream = Fetch(*x, x->upstream_request);
   if (revalidating && upstream.ok() && upstream->head.status_code == 304) {
     if (std::optional<http::Response> refreshed =
@@ -743,6 +766,7 @@ http::Response DpcProxy::Proxy(std::unique_ptr<Exchange>& x,
     upstream = Fetch(*x, x->upstream_request);
   }
   if (!upstream.ok()) return Refuse(*x, request, upstream.status());
+  x->writer.HeadArrived();
 
   http::Response head = std::move(upstream->head);
   // Serve-stale-on-error (RFC 9111 §4.2.4): a 5xx answer must not
@@ -762,10 +786,13 @@ http::Response DpcProxy::Proxy(std::unique_ptr<Exchange>& x,
     head.headers.Remove("Content-Length");  // The template's, not the page's.
     x->assembler.emplace(
         store_,
-        [this, exchange = x.get()](const std::vector<bem::DpcKey>& keys) {
-          return Recover(*exchange, keys);
+        [this, exchange = x.get()](const std::vector<bem::DpcKey>& keys,
+                                   std::vector<FragmentRef>& found) {
+          return Recover(*exchange, keys, found);
         },
-        clock_);
+        clock_, &x->writer);
+  } else {
+    x->writer.Close();  // Carries no SETs.
   }
   head.headers.Remove("Transfer-Encoding");
   if (options_.proxy_headers) {
@@ -858,6 +885,7 @@ Status DpcProxy::Pump(Exchange& x, common::BufferChain& out, bool* done) {
   if (chunk.empty()) {
     *done = true;
     if (x.assembler.has_value()) fed = x.assembler->Finish(out);
+    x.writer.Close();
   } else if (!x.assembler.has_value()) {
     out.Append(std::move(chunk));
     return Status::Ok();
@@ -913,40 +941,66 @@ Status DpcProxy::CapTemplate(Exchange& x, size_t bytes) {
                   std::to_string(options_.max_template_bytes)));
 }
 
-Status DpcProxy::Recover(Exchange& x, std::vector<bem::DpcKey> missing) {
+Status DpcProxy::Recover(Exchange& x, const std::vector<bem::DpcKey>& keys,
+                         std::vector<FragmentRef>& found) {
+  auto missing = [&] {
+    std::vector<size_t> open;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (found[i] == nullptr) open.push_back(i);
+    }
+    return open;
+  };
+  // A GET can overtake the SET that another response in flight still
+  // carries: wait for those responses first (bounded, and only while one
+  // that was in flight at this response's head is still being scanned).
+  const MicroTime wait_micros = std::min<MicroTime>(
+      kSetWaitBackstopMicros, common::CurrentDeadline().remaining_micros());
+  const auto wait_until = std::chrono::steady_clock::now() +
+                          std::chrono::microseconds(wait_micros);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    Result<FragmentRef> landed = store_.Await(keys[i], x.writer, wait_until);
+    if (landed.ok()) found[i] = std::move(*landed);
+  }
   if (options_.miss_resolver != nullptr) {
-    // Cluster peer fill first: ask each key's ring owner before paying a
+    // Cluster peer fill next: ask each key's ring owner before paying a
     // refresh round trip to the origin.
-    std::erase_if(missing, [this](bem::DpcKey key) {
-      if (!options_.miss_resolver(key).ok()) return false;
+    for (size_t i : missing()) {
+      if (!options_.miss_resolver(keys[i]).ok()) continue;
+      Result<FragmentRef> filled = store_.Get(keys[i]);
+      if (!filled.ok()) continue;
+      found[i] = std::move(*filled);
       if (instruments_.peer_fills != nullptr) {
         instruments_.peer_fills->Increment();
       }
-      return true;
-    });
+    }
   }
-  if (missing.empty()) return Status::Ok();
+  if (missing().empty()) return Status::Ok();
   // The refresh must not wait for a connection this exchange holds: read
   // the rest of the template first, which checks a pooled connection in.
   DYNAPROX_RETURN_IF_ERROR(Drain(x));
   // Ask the origin to invalidate the keys still missing, so the refreshed
-  // template carries their SETs; its page is discarded. A key counts as
-  // recovered once the store holds it, whether the refresh or a
-  // concurrent response stored it. With a pooled upstream the refresh can
-  // race a concurrent request whose SET is still in flight and miss again
-  // — hence the retries.
-  for (int attempt = 0; !missing.empty(); ++attempt) {
-    const std::string keys = HexList(missing);
+  // template carries their SETs into the same slots; its page is
+  // discarded. A key is recovered once the store holds exactly it (a
+  // concurrent response may store it) or the refresh SET into its slot.
+  // With a pooled upstream the refresh can race a concurrent request that
+  // re-inserts the fragment first and miss again — hence the retries.
+  for (int attempt = 0;; ++attempt) {
+    const std::vector<size_t> open = missing();
+    if (open.empty()) return Status::Ok();
+    std::vector<bem::DpcKey> open_keys;
+    for (size_t i : open) open_keys.push_back(keys[i]);
+    const std::string list = HexList(open_keys);
     if (attempt == options_.max_recovery_attempts) {
       return Fail(x, Failure::kRecovery,
-                  Status::NotFound("fragments [" + keys +
+                  Status::NotFound("fragments [" + list +
                                    "] unrecoverable after refresh"));
     }
     http::Request refresh = x.upstream_request;
     refresh.headers.Remove("If-None-Match");
-    refresh.headers.Set(bem::kRefreshHeader, keys);
-    DYNAPROX_LOG(kInfo, "dpc") << "cold-cache recovery for keys [" << keys
+    refresh.headers.Set(bem::kRefreshHeader, list);
+    DYNAPROX_LOG(kInfo, "dpc") << "cold-cache recovery for keys [" << list
                                << "]";
+    FragmentStore::Writer writer = store_.OpenWriter();
     Result<net::StreamingResponse> refreshed = Fetch(x, refresh);
     if (!refreshed.ok()) return refreshed.status();
     instruments_.recoveries->Increment();
@@ -956,6 +1010,8 @@ Status DpcProxy::Recover(Exchange& x, std::vector<bem::DpcKey> missing) {
       return Fail(x, Failure::kRecovery,
                   Status::NotFound("refresh answered without a template"));
     }
+    // The first fragment the refresh SETs into each open key's slot.
+    std::vector<FragmentRef> refilled(keys.size());
     StreamingScanner scanner;
     std::vector<StreamSegment> segments;
     size_t bytes = 0;
@@ -971,15 +1027,24 @@ Status DpcProxy::Recover(Exchange& x, std::vector<bem::DpcKey> missing) {
       if (!scanned.ok()) return Fail(x, Failure::kTemplate, scanned);
       for (const StreamSegment& segment : segments) {
         if (segment.kind != StreamSegment::Kind::kSet) continue;
-        DYNAPROX_RETURN_IF_ERROR(store_.Set(
-            segment.key, std::make_shared<const std::string>(segment.Text())));
+        auto fragment = std::make_shared<const std::string>(segment.Text());
+        DYNAPROX_RETURN_IF_ERROR(store_.Set(segment.key, fragment, &writer));
+        const bem::DpcKey slot = bem::SlotOf(segment.key, store_.capacity());
+        for (size_t i : open) {
+          if (refilled[i] == nullptr &&
+              bem::SlotOf(keys[i], store_.capacity()) == slot) {
+            refilled[i] = fragment;
+          }
+        }
       }
       segments.clear();
     }
-    std::erase_if(missing,
-                  [this](bem::DpcKey key) { return store_.Get(key).ok(); });
+    writer.Close();
+    for (size_t i : open) {
+      Result<FragmentRef> exact = store_.Get(keys[i]);
+      found[i] = exact.ok() ? std::move(*exact) : std::move(refilled[i]);
+    }
   }
-  return Status::Ok();
 }
 
 Status DpcProxy::Fail(Exchange& x, Failure failure, Status status) {
@@ -1023,6 +1088,7 @@ http::Response DpcProxy::Refuse(Exchange& x, const http::Request& request,
 }
 
 void DpcProxy::Complete(Exchange& x, const http::Response* page) {
+  x.writer.Close();
   if (page != nullptr) {
     if (x.assembler.has_value()) {
       const StreamProgress& progress = x.assembler->progress();

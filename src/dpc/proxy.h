@@ -132,8 +132,8 @@ struct ProxyOptions {
   // Edge-cluster hooks (docs/edge-tier.md). miss_resolver is consulted for
   // each cold-cache GET miss before the refresh round trip to the origin —
   // the cluster wires a peer fetch from the key's ring owner here. The
-  // resolver is expected to store what it finds (the assembler re-reads
-  // the store); a failure falls back to the refresh.
+  // resolver is expected to store what it finds under the exact key (the
+  // proxy re-reads the store); a failure falls back to the refresh.
   std::function<Status(bem::DpcKey)> miss_resolver = nullptr;
   // Fired once a page has been delivered in full, whole or streamed, with
   // the dpcKeys its SETs stored, in template order; the cluster
@@ -292,10 +292,15 @@ class DpcProxy {
   Status Drain(Exchange& x);
   // Fails `x` as a template error once `bytes` exceed max_template_bytes.
   Status CapTemplate(Exchange& x, size_t bytes);
-  // Inline cold-cache recovery for the GET misses of one assembler call:
-  // peer fills first, then X-DPC-Refresh round trips for the keys still
-  // missing, executing each refreshed template's SETs into the store.
-  Status Recover(Exchange& x, std::vector<bem::DpcKey> missing);
+  // Inline recovery for the GET misses of one assembler call (its
+  // MissResolver): first a bounded wait for SETs that responses already
+  // in flight may still carry (FragmentStore::Await), then peer fills,
+  // then X-DPC-Refresh round trips for the keys still missing, executing
+  // each refreshed template's SETs into the store. A key's hole takes the
+  // fragment stored under exactly that key, or else the one the refresh
+  // template SET into the key's slot.
+  Status Recover(Exchange& x, const std::vector<bem::DpcKey>& keys,
+                 std::vector<FragmentRef>& found);
   // Records why `x` failed and counts it; returns `status`.
   Status Fail(Exchange& x, Failure failure, Status status);
   // The clean answer to a failure before commit.

@@ -41,10 +41,10 @@ Status DecodeKey(std::string_view hex, bem::DpcKey& key) {
     return Status::Corruption("oversized dpcKey in tag");
   }
   Result<uint64_t> parsed = ParseHex(hex);
-  if (!parsed.ok() || *parsed >= bem::kInvalidDpcKey) {
+  if (!parsed.ok() || *parsed == bem::kInvalidDpcKey) {
     return Status::Corruption("bad dpcKey in tag");
   }
-  key = static_cast<bem::DpcKey>(*parsed);
+  key = *parsed;
   return Status::Ok();
 }
 

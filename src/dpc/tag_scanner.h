@@ -58,10 +58,11 @@ struct StreamSegment {
   }
 };
 
-// Longest admissible hex run in an 'S'/'G' tag. DpcKey is 32-bit and
-// bem::TagCodec emits minimal hex, so eight digits suffice; the cap also
-// bounds the scanner's partial-tag stash against hostile zero-padded runs.
-inline constexpr size_t kMaxKeyHexDigits = 8;
+// Longest admissible hex run in an 'S'/'G' tag. DpcKey is 64-bit
+// (generation and slot, see bem::DpcKey) and bem::TagCodec emits minimal
+// hex, so sixteen digits suffice; the cap also bounds the scanner's
+// partial-tag stash against hostile zero-padded runs.
+inline constexpr size_t kMaxKeyHexDigits = 2 * sizeof(bem::DpcKey);
 
 // The DPC's one decoder for BEM-encoded response templates (see
 // bem::TagCodec for the wire grammar), resumable across chunks. Feed()

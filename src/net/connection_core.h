@@ -33,6 +33,16 @@ namespace dynaprox::net {
 // (CheckDeadlines), so both shells reap slowloris, idle, and
 // write-stalled connections under one set of rules.
 //
+// A core is never touched by two threads at once, and takes no locks:
+// TcpServer gives each connection its own thread, and EpollServer hands a
+// connection to one loop thread per event (one-shot registration) and
+// keeps deadline sweeps and drain off it while that thread serves it. A
+// handler the core calls may therefore block; if it does so inside a
+// net::BlockingScope, the loop adds a thread (up to
+// EpollServer::kMaxThreadsPerLoop) and serves its other connections
+// meanwhile. A handler that never enters a scope — CPU-bound work such as
+// the origin's page scripts — keeps its loop at one thread, serial.
+//
 // Mode differences are confined to Flush(): a blocking shell relies on
 // SO_SNDTIMEO, so EAGAIN there means the write-stall deadline already
 // expired (counted, connection doomed); a non-blocking shell gets

@@ -11,6 +11,7 @@
 #include "common/fault_point.h"
 #include "common/strings.h"
 #include "http/parser.h"
+#include "net/blocking_scope.h"
 #include "net/idempotency.h"
 #include "net/socket_util.h"
 
@@ -36,15 +37,20 @@ bool IsConnectionLive(int fd) {
 
 // One receive from `fd` into `reader`, behind the net.read fault point:
 // the read step of both the head read and the body stream. Returns the
-// byte count, 0 at end of stream.
+// byte count, 0 at end of stream. The wait for the peer is a
+// BlockingScope, so an event loop running this handler can serve its
+// other connections meanwhile.
 Result<size_t> Receive(int fd, http::StreamingResponseReader& reader) {
   DYNAPROX_RETURN_IF_ERROR(
       chaos::InjectStatus(DYNAPROX_FAULT_POINT("net.read")));
   char buf[16 * 1024];
   ssize_t n;
-  do {
-    n = ::recv(fd, buf, sizeof(buf), 0);
-  } while (n < 0 && errno == EINTR);
+  {
+    BlockingScope blocking;
+    do {
+      n = ::recv(fd, buf, sizeof(buf), 0);
+    } while (n < 0 && errno == EINTR);
+  }
   if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
     // SO_RCVTIMEO elapsed: fail fast, don't retry into another stall.
     return Status::IoError("receive timeout");
@@ -178,7 +184,12 @@ Result<ConnectionPool::Connection> ConnectionPool::Checkout() {
       queued = true;
     }
     waited = true;
-    if (available_.wait_until(lock, deadline) == std::cv_status::timeout) {
+    std::cv_status waited_out;
+    {
+      BlockingScope blocking;
+      waited_out = available_.wait_until(lock, deadline);
+    }
+    if (waited_out == std::cv_status::timeout) {
       --waiters_;
       ++counters_.waiter_timeouts;
       wait_micros_.Observe(

@@ -145,6 +145,10 @@ struct PooledTransportOptions {
 // SafeToRetry allows it; a failure on a freshly dialed connection is
 // never retried.
 //
+// Its socket reads and its wait for a free pool connection run inside a
+// net::BlockingScope, so an event loop running a handler that calls it
+// (net::EpollServer) keeps serving its other connections meanwhile.
+//
 // RoundTripStreaming keeps its pooled connection checked out until the
 // BodyStream is drained (checked back in per the rule above) or destroyed
 // early (closed — the framing state is unknown). Other round trips proceed

@@ -29,17 +29,31 @@ namespace dynaprox::net {
 // worker loop is the non-blocking shell mapping core verdicts onto epoll
 // interest sets.
 //
-// The handler runs inline on the event loop. That is the right trade for
-// origin-style handlers (fragment generation is CPU work); a handler that
-// blocks on its own upstream I/O (e.g. DpcProxy over a slow origin) stalls
-// one loop — size num_workers accordingly or use TcpServer there.
+// Handlers run inline on the loop's threads. A loop starts with one
+// thread and grows only when a handler blocks: connections are registered
+// one-shot, so each event hands its connection to exactly one thread
+// (which claims every connection of its epoll batch at once, so the
+// deadline sweeps and drain of the loop's other threads never close a
+// connection whose event it still holds), and
+// when every thread of the loop is inside a net::BlockingScope (a pooled
+// upstream read, a wait for a pool connection or for a SET in flight)
+// the loop adds a thread, up to kMaxThreadsPerLoop. A thread entering a
+// scope also hands the unhandled rest of its epoll batch back to the
+// loop. So a DpcProxy loop overlaps its upstream waits, while a loop
+// whose handlers never block — the origin's page scripts are CPU work —
+// keeps exactly one thread: CPU-bound handlers stay serial per loop,
+// because running them in parallel on one loop's cores would only make
+// them contend (for the BEM directory, for the allocator) and cost more
+// CPU per request. Threads are never retired before Stop, so a loop runs
+// at most one thread per handler ever blocked at once, plus one, and
+// never more than kMaxThreadsPerLoop.
 //
 // A handler may return a streamed response (Response::body_stream): the
 // head goes out chunked immediately and body chunks are pulled and
 // flushed as the socket accepts them, with a 256 KiB per-connection
 // high-water mark pausing the pull until EPOLLOUT drains the backlog.
-// The pull itself runs inline, so the blocking caveat above applies to
-// the stream's upstream too. A mid-body stream error aborts the
+// The pull itself runs on the loop's thread, inside a BlockingScope
+// whenever it waits on a pooled upstream. A mid-body stream error aborts the
 // connection (truncated chunked body), never a complete-looking response.
 // Ingress protection (net/server_limits.h) mirrors TcpServer: connection
 // cap at accept, in-flight shedding, header/idle/write-stall deadlines,
@@ -52,6 +66,11 @@ namespace dynaprox::net {
 // always sum to the shared totals.
 class EpollServer {
  public:
+  // Most threads one event loop runs (see the class comment). Each added
+  // thread gets its own malloc arena, which stays resident; the
+  // measured trade against throughput is in docs/threading-model.md.
+  static constexpr int kMaxThreadsPerLoop = 2;
+
   // `port` 0 picks an ephemeral port (see port() after Start()).
   EpollServer(Handler handler, uint16_t port = 0, int num_workers = 1,
               ServerLimits limits = {});
@@ -63,8 +82,9 @@ class EpollServer {
   // Binds, listens on 127.0.0.1, and spawns the worker loops.
   Status Start();
 
-  // Stops all loops, closes all connections, joins. Aborts in-flight
-  // work. Idempotent.
+  // Stops all loops, closes all connections, joins every loop thread,
+  // added ones included (a thread still inside a handler is joined when
+  // its handler returns). Aborts in-flight work. Idempotent.
   void Stop();
 
   // Graceful drain across all workers: every worker stops accepting
@@ -76,6 +96,10 @@ class EpollServer {
 
   uint16_t port() const { return port_; }
   int num_workers() const { return static_cast<int>(workers_.size()); }
+
+  // Threads the loops run now, all workers together: one per worker plus
+  // those added while handlers blocked.
+  int thread_count() const;
 
   // Number of per-worker ingress slots (== the worker count requested at
   // construction; fixed for the server's life).
@@ -134,7 +158,6 @@ class EpollServer {
   // workers drive the one gate.
   AcceptGate gate_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
 };
 
 }  // namespace dynaprox::net

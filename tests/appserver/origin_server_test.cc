@@ -144,7 +144,7 @@ TEST_F(OriginServerTest, MalformedRefreshKeysIgnored) {
   auto monitor = MakeMonitor();
   OriginServer server(&registry_, &repository_, monitor.get());
   http::Request request = Get("/hello");
-  request.headers.Add(bem::kRefreshHeader, "zz,,1ffffffff");
+  request.headers.Add(bem::kRefreshHeader, "zz,,1ffffffffffffffff");
   EXPECT_EQ(server.Handle(request).status_code, 200);
   EXPECT_EQ(server.stats().refresh_invalidations, 0u);
 }

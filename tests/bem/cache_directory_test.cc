@@ -52,29 +52,33 @@ TEST(CacheDirectoryTest, SequentialKeysFromFreeList) {
 TEST(CacheDirectoryTest, InvalidateReleasesKeyToTail) {
   SimClock clock;
   auto dir = MakeDirectory(3, &clock);
-  ASSERT_TRUE(dir->Insert(Frag("a"), 0).ok());  // key 0.
+  ASSERT_TRUE(dir->Insert(Frag("a"), 0).ok());  // Slot 0, key 0.
   ASSERT_TRUE(dir->Invalidate(Frag("a")).ok());
   EXPECT_EQ(dir->Lookup(Frag("a")).outcome, LookupOutcome::kMissInvalid);
-  // Keys 1 and 2 precede the released 0.
+  // Slots 1 and 2 precede the released 0.
   EXPECT_EQ(*dir->Insert(Frag("b"), 0), 1u);
   EXPECT_EQ(*dir->Insert(Frag("c"), 0), 2u);
-  EXPECT_EQ(*dir->Insert(Frag("d"), 0), 0u);  // Reuses the released key.
+  // Reuses the released slot, one generation on: key 1 * 3 + 0.
+  EXPECT_EQ(*dir->Insert(Frag("d"), 0), 3u);
 }
 
-TEST(CacheDirectoryTest, PinnedInvalidateKeyReusesTheSameKey) {
+TEST(CacheDirectoryTest, PinnedInvalidateKeyReusesTheSameSlot) {
   // The refresh protocol's contract: a pin_key invalidation must hand the
-  // same dpcKey back to the next Insert, so the DPC's committed `GET key`
-  // can be filled by the refreshed SET.
+  // same slot back to the next Insert, so the DPC's committed `GET key`
+  // can be filled by the refreshed SET into that slot.
   SimClock clock;
   auto dir = MakeDirectory(8, &clock);
-  ASSERT_TRUE(dir->Insert(Frag("a"), 0).ok());      // key 0.
-  DpcKey hot = *dir->Insert(Frag("hot"), 0);        // key 1.
-  ASSERT_TRUE(dir->Insert(Frag("c"), 0).ok());      // key 2.
+  ASSERT_TRUE(dir->Insert(Frag("a"), 0).ok());      // Slot 0.
+  DpcKey hot = *dir->Insert(Frag("hot"), 0);        // Slot 1, key 1.
+  ASSERT_TRUE(dir->Insert(Frag("c"), 0).ok());      // Slot 2.
   Result<std::string> owner = dir->InvalidateKey(hot, /*pin_key=*/true);
   ASSERT_TRUE(owner.ok());
   EXPECT_EQ(*owner, Frag("hot").Canonical());
-  // Re-render re-inserts the same fragment: same key, ahead of 3..7.
-  EXPECT_EQ(*dir->Insert(Frag("hot"), 0), hot);
+  // Re-render re-inserts the same fragment: same slot, ahead of 3..7,
+  // under the slot's next generation.
+  DpcKey refreshed = *dir->Insert(Frag("hot"), 0);
+  EXPECT_EQ(SlotOf(refreshed, 8), SlotOf(hot, 8));
+  EXPECT_EQ(refreshed, hot + 8);
 }
 
 TEST(CacheDirectoryTest, InvalidateUnknownFails) {
@@ -191,7 +195,60 @@ TEST(CacheDirectoryTest, InvalidateKeyFindsOwner) {
   EXPECT_EQ(*owner, "a");
   EXPECT_EQ(dir->Lookup(Frag("a")).outcome, LookupOutcome::kMissInvalid);
   EXPECT_TRUE(dir->InvalidateKey(key).status().IsNotFound());
-  EXPECT_TRUE(dir->InvalidateKey(99).status().IsInvalidArgument());
+  // Key 99 addresses slot 3, generation 24: never handed out.
+  EXPECT_TRUE(dir->InvalidateKey(99).status().IsNotFound());
+}
+
+TEST(CacheDirectoryTest, InvalidateKeyMatchesOnlyTheExactKey) {
+  // Once a slot is reassigned, its previous key names nothing: a plain
+  // invalidation for it must not invalidate the slot's new owner.
+  SimClock clock;
+  auto dir = MakeDirectory(1, &clock);
+  DpcKey old_key = *dir->Insert(Frag("old"), 0);
+  ASSERT_TRUE(dir->Invalidate(Frag("old")).ok());
+  DpcKey new_key = *dir->Insert(Frag("new"), 0);
+  EXPECT_NE(new_key, old_key);
+  EXPECT_EQ(SlotOf(new_key, 1), SlotOf(old_key, 1));
+  EXPECT_TRUE(dir->InvalidateKey(old_key).status().IsNotFound());
+  EXPECT_TRUE(dir->Lookup(Frag("new")).hit());
+  EXPECT_EQ(*dir->InvalidateKey(new_key), "new");
+}
+
+TEST(CacheDirectoryTest, PinnedInvalidateKeyTakesTheSlotsCurrentOccupant) {
+  // Two DPC responses missed key 1; the first refresh already re-keyed
+  // the fragment to 1 + 4. The second refresh, still for key 1, must take
+  // the slot's occupant again so its re-render SETs into that slot.
+  SimClock clock;
+  auto dir = MakeDirectory(4, &clock);
+  ASSERT_TRUE(dir->Insert(Frag("a"), 0).ok());
+  const DpcKey missed = *dir->Insert(Frag("shared"), 0);
+  EXPECT_EQ(*dir->InvalidateKey(missed, /*pin_key=*/true), "shared");
+  const DpcKey rekeyed = *dir->Insert(Frag("shared"), 0);
+  EXPECT_EQ(rekeyed, missed + 4);
+  EXPECT_EQ(*dir->InvalidateKey(missed, /*pin_key=*/true), "shared");
+  EXPECT_EQ(*dir->Insert(Frag("shared"), 0), missed + 8);
+  // A slot with no valid occupant has nothing to refresh.
+  ASSERT_TRUE(dir->Invalidate(Frag("shared")).ok());
+  EXPECT_TRUE(
+      dir->InvalidateKey(missed, /*pin_key=*/true).status().IsNotFound());
+}
+
+TEST(CacheDirectoryTest, ReadOlderThanTheUpdateLogIsTreatedAsStale) {
+  SimClock clock;
+  auto dir = MakeDirectory(4, &clock);
+  const uint64_t read_since = dir->update_sequence();
+  // More unrelated updates than the log keeps: the insert cannot prove
+  // its dependency was not among the dropped ones.
+  for (int i = 0; i < 300; ++i) {
+    dir->NoteUpdate(storage::UpdateEvent{"other", std::to_string(i),
+                                         storage::UpdateKind::kUpdate});
+  }
+  ASSERT_TRUE(dir->Insert(Frag("a"), 0, {{"t", "row"}}, read_since).ok());
+  EXPECT_EQ(dir->Lookup(Frag("a")).outcome, LookupOutcome::kMissInvalid);
+  ASSERT_TRUE(dir->Insert(Frag("b"), 0, {{"t", "row"}},
+                          dir->update_sequence())
+                  .ok());
+  EXPECT_TRUE(dir->Lookup(Frag("b")).hit());
 }
 
 TEST(CacheDirectoryTest, KeyOfReportsValidEntriesOnly) {
@@ -205,18 +262,20 @@ TEST(CacheDirectoryTest, KeyOfReportsValidEntriesOnly) {
 }
 
 // Inserts `capacity` fresh fragments named `prefix`<i> and checks that
-// their keys are exactly [0, capacity): each key handed out once, none
-// evicted.
-void ExpectEveryKeyOnce(CacheDirectory& dir, const std::string& prefix) {
+// their slots are exactly [0, capacity): each slot handed out once, none
+// evicted, and no key handed out before (`seen` collects every key).
+void ExpectEveryKeyOnce(CacheDirectory& dir, const std::string& prefix,
+                        std::set<DpcKey>& seen) {
   const uint64_t evictions_before = dir.stats().evictions;
-  std::set<DpcKey> keys;
+  std::set<DpcKey> slots;
   for (DpcKey i = 0; i < dir.capacity(); ++i) {
     Result<DpcKey> key = dir.Insert(Frag(prefix + std::to_string(i)), 0);
     ASSERT_TRUE(key.ok());
-    EXPECT_LT(*key, dir.capacity());
-    EXPECT_TRUE(keys.insert(*key).second) << "key " << *key << " twice";
+    EXPECT_TRUE(slots.insert(SlotOf(*key, dir.capacity())).second)
+        << "slot of key " << *key << " twice";
+    EXPECT_TRUE(seen.insert(*key).second) << "key " << *key << " reused";
   }
-  EXPECT_EQ(keys.size(), dir.capacity());
+  EXPECT_EQ(slots.size(), dir.capacity());
   EXPECT_EQ(dir.stats().evictions, evictions_before);
   EXPECT_EQ(dir.free_key_count(), 0u);
   EXPECT_EQ(dir.entry_count(), dir.capacity());
@@ -225,10 +284,11 @@ void ExpectEveryKeyOnce(CacheDirectory& dir, const std::string& prefix) {
 TEST(CacheDirectoryTest, ReinsertsAfterInvalidateAllHandOutEveryKeyOnce) {
   SimClock clock;
   auto dir = MakeDirectory(200, &clock);
-  ExpectEveryKeyOnce(*dir, "first-");
+  std::set<DpcKey> seen;
+  ExpectEveryKeyOnce(*dir, "first-", seen);
   EXPECT_EQ(dir->InvalidateAll(), 200u);
   EXPECT_EQ(dir->free_key_count(), 200u);
-  ExpectEveryKeyOnce(*dir, "second-");
+  ExpectEveryKeyOnce(*dir, "second-", seen);
 }
 
 TEST(CacheDirectoryTest, ReinsertsAfterSweepExpiredHandOutEveryKeyOnce) {
@@ -236,11 +296,14 @@ TEST(CacheDirectoryTest, ReinsertsAfterSweepExpiredHandOutEveryKeyOnce) {
   auto dir = MakeDirectory(200, &clock);
   // Half the keys expire in the sweep; the other half stays valid until
   // invalidated one by one, so both release paths feed the free list.
+  std::set<DpcKey> seen;
   std::vector<std::string> lasting;
   for (int i = 0; i < 200; ++i) {
     std::string name = "f" + std::to_string(i);
-    ASSERT_TRUE(dir->Insert(Frag(name), i % 2 == 0 ? kMicrosPerSecond : 0)
-                    .ok());
+    Result<DpcKey> key =
+        dir->Insert(Frag(name), i % 2 == 0 ? kMicrosPerSecond : 0);
+    ASSERT_TRUE(key.ok());
+    seen.insert(*key);
     if (i % 2 != 0) lasting.push_back(name);
   }
   clock.AdvanceSeconds(2);
@@ -248,7 +311,7 @@ TEST(CacheDirectoryTest, ReinsertsAfterSweepExpiredHandOutEveryKeyOnce) {
   for (const std::string& name : lasting) {
     ASSERT_TRUE(dir->Invalidate(Frag(name)).ok());
   }
-  ExpectEveryKeyOnce(*dir, "g");
+  ExpectEveryKeyOnce(*dir, "g", seen);
 }
 
 TEST(CacheDirectoryTest, SnapshotEntriesStaySorted) {

@@ -24,17 +24,17 @@ namespace {
 
 FragmentId Frag(const std::string& name) { return FragmentId(name); }
 
-// Keys held by valid entries must be distinct, and together with the free
-// list they must account for the whole key space.
+// Slots held by valid entries must be distinct, and together with the
+// free list they must account for every slot.
 void CheckKeyInvariants(const CacheDirectory& dir, DpcKey capacity) {
   std::vector<CacheDirectory::EntryView> entries =
       dir.SnapshotEntries(capacity);
   std::set<DpcKey> held;
   for (const auto& entry : entries) {
     if (!entry.is_valid) continue;
-    EXPECT_LT(entry.key, capacity);
-    EXPECT_TRUE(held.insert(entry.key).second)
-        << "dpcKey " << entry.key << " assigned to two valid fragments";
+    EXPECT_TRUE(held.insert(SlotOf(entry.key, capacity)).second)
+        << "slot of dpcKey " << entry.key
+        << " assigned to two valid fragments";
   }
   EXPECT_EQ(held.size() + dir.free_key_count(), capacity);
 }

@@ -71,6 +71,7 @@ TEST_P(DirectoryModelTest, RandomOpsAgreeWithModel) {
   const DpcKey kCapacity = 16;
   CacheDirectory directory(kCapacity, &clock, *MakeReplacementPolicy("lru"));
   ReferenceModel model(kCapacity);
+  std::map<std::string, DpcKey> last_key;
 
   for (int step = 0; step < 3000; ++step) {
     std::string name = "f" + std::to_string(rng.NextBounded(40));
@@ -87,7 +88,8 @@ TEST_P(DirectoryModelTest, RandomOpsAgreeWithModel) {
         }
         if (result.hit()) {
           EXPECT_TRUE(model.MayHit(name)) << name << " step " << step;
-          EXPECT_LT(result.key, kCapacity);
+          // A hit names exactly the key the fragment's insert returned.
+          EXPECT_EQ(result.key, last_key[name]) << name << " step " << step;
         }
         break;
       }
@@ -100,6 +102,7 @@ TEST_P(DirectoryModelTest, RandomOpsAgreeWithModel) {
                   : 0;
           Result<DpcKey> key = directory.Insert(id, ttl);
           ASSERT_TRUE(key.ok());
+          last_key[name] = *key;
           model.OnInsert(name, clock.NowMicros(), ttl);
         }
         break;
@@ -135,8 +138,8 @@ TEST_P(DirectoryModelTest, RandomOpsAgreeWithModel) {
 }
 
 TEST_P(DirectoryModelTest, KeysNeverAliasAcrossValidFragments) {
-  // Two valid fragments must never share a dpcKey (otherwise the DPC would
-  // serve one fragment's bytes for the other).
+  // Two valid fragments must never share a dpcKey or a slot (otherwise the
+  // DPC would serve one fragment's bytes for the other).
   Rng rng(GetParam() * 31 + 7);
   SimClock clock;
   const DpcKey kCapacity = 8;
@@ -155,13 +158,16 @@ TEST_P(DirectoryModelTest, KeysNeverAliasAcrossValidFragments) {
       (void)directory.Invalidate(
           FragmentId("f" + std::to_string(rng.NextBounded(24))));
     }
-    // Collect keys of all currently-valid fragments.
+    // Collect keys and slots of all currently-valid fragments.
     std::set<DpcKey> keys;
+    std::set<DpcKey> slots;
     for (const std::string& fragment : inserted) {
       Result<DpcKey> key = directory.KeyOf(FragmentId(fragment));
       if (!key.ok()) continue;
       ASSERT_TRUE(keys.insert(*key).second)
           << "key " << *key << " aliased at step " << step;
+      ASSERT_TRUE(slots.insert(SlotOf(*key, kCapacity)).second)
+          << "slot of key " << *key << " aliased at step " << step;
     }
   }
 }

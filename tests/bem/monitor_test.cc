@@ -160,7 +160,7 @@ TEST(MonitorTest, InvalidateKeyRemovesDependencies) {
   ExpectDepsMatchValidEntries(*monitor);
 }
 
-TEST(MonitorTest, RefreshKeyKeepsTheKeyStable) {
+TEST(MonitorTest, RefreshKeyKeepsTheSlotStable) {
   SimClock clock;
   auto monitor = *BackEndMonitor::Create(Options(&clock));
   FragmentId a("a"), b("b");
@@ -169,10 +169,48 @@ TEST(MonitorTest, RefreshKeyKeepsTheKeyStable) {
   ASSERT_TRUE(monitor->RefreshKey(key).ok());
   EXPECT_FALSE(monitor->LookupFragment(b).hit());
   ExpectDepsMatchValidEntries(*monitor);
-  // The refresh re-render re-caches the fragment under the SAME key — the
-  // DPC's in-flight `GET key` stays resolvable.
-  EXPECT_EQ(*monitor->InsertFragment(b, -1, {{"t", "b"}}), key);
+  // The refresh re-render re-caches the fragment in the SAME slot, one
+  // generation on — the DPC fills its in-flight `GET key` from the
+  // refresh's SET into that slot.
+  DpcKey refreshed = *monitor->InsertFragment(b, -1, {{"t", "b"}});
+  EXPECT_EQ(SlotOf(refreshed, monitor->capacity()),
+            SlotOf(key, monitor->capacity()));
+  EXPECT_EQ(refreshed, key + monitor->capacity());
   ExpectDepsMatchValidEntries(*monitor);
+}
+
+TEST(MonitorTest, UpdateBetweenReadAndInsertLeavesNoValidEntry) {
+  // A block reads the data source, then an update of that row lands
+  // before the block's insert: there is no valid entry to invalidate yet,
+  // so the insert itself must not leave the stale output cached.
+  SimClock clock;
+  auto monitor = *BackEndMonitor::Create(Options(&clock));
+  FragmentId quote("quote");
+  const uint64_t read_since = monitor->update_sequence();
+  monitor->OnDataSourceUpdate(
+      storage::UpdateEvent{"quotes", "IBM", storage::UpdateKind::kUpdate});
+  Result<DpcKey> key =
+      monitor->InsertFragment(quote, -1, {{"quotes", "IBM"}}, read_since);
+  ASSERT_TRUE(key.ok());  // The page still SETs what it rendered.
+  EXPECT_FALSE(monitor->LookupFragment(quote).hit());
+  ExpectDepsMatchValidEntries(*monitor);
+  // Updates of other rows or tables, or before the read, leave it cached.
+  const uint64_t later = monitor->update_sequence();
+  monitor->OnDataSourceUpdate(
+      storage::UpdateEvent{"quotes", "AAPL", storage::UpdateKind::kUpdate});
+  monitor->OnDataSourceUpdate(
+      storage::UpdateEvent{"news", "", storage::UpdateKind::kUpdate});
+  ASSERT_TRUE(
+      monitor->InsertFragment(quote, -1, {{"quotes", "IBM"}}, later).ok());
+  EXPECT_TRUE(monitor->LookupFragment(quote).hit());
+  // A table-level dependency sees any row of its table.
+  FragmentId board("board");
+  const uint64_t before_row = monitor->update_sequence();
+  monitor->OnDataSourceUpdate(
+      storage::UpdateEvent{"quotes", "MSFT", storage::UpdateKind::kUpdate});
+  ASSERT_TRUE(
+      monitor->InsertFragment(board, -1, {{"quotes", ""}}, before_row).ok());
+  EXPECT_FALSE(monitor->LookupFragment(board).hit());
 }
 
 TEST(MonitorTest, InvalidateAllClearsDirectoryAndDeps) {

@@ -80,8 +80,8 @@ TEST(AdversarialTemplateTest, OverlappingTagMarkers) {
 }
 
 TEST(AdversarialTemplateTest, OutOfRangeDpcKeyRejected) {
-  // Hex wider than a DpcKey (uint32) must not wrap around silently.
-  ExpectCorrupt(Stx("G1FFFFFFFFF") + std::string(1, kEtx));
+  // Hex wider than a DpcKey (uint64) must not wrap around silently.
+  ExpectCorrupt(Stx("G1FFFFFFFFFFFFFFFF") + std::string(1, kEtx));
   ExpectCorrupt(Stx("SFFFFFFFFFFFFFFFF") + std::string(1, kEtx));
 }
 
@@ -102,12 +102,12 @@ TEST(AdversarialTemplateTest, MalformedLiteralEscape) {
 }
 
 TEST(AdversarialTemplateTest, SentinelKeyRejectedAtParse) {
-  // "FFFFFFFF" is exactly kInvalidDpcKey — the "no key" sentinel
+  // Sixteen F's is exactly kInvalidDpcKey — the "no key" sentinel
   // downstream. A tag carrying it is rejected by the scanner itself, so
   // the sentinel can never leak into a segment (it used to survive until
   // the FragmentStore bounds check).
-  ExpectCorrupt(Stx("GFFFFFFFF") + std::string(1, kEtx));
-  ExpectCorrupt(Stx("SFFFFFFFF") + std::string(1, kEtx));
+  ExpectCorrupt(Stx("GFFFFFFFFFFFFFFFF") + std::string(1, kEtx));
+  ExpectCorrupt(Stx("SFFFFFFFFFFFFFFFF") + std::string(1, kEtx));
 
   // The store still rejects it independently (defense in depth).
   FragmentStore store(/*capacity=*/16);
@@ -116,12 +116,12 @@ TEST(AdversarialTemplateTest, SentinelKeyRejectedAtParse) {
 }
 
 TEST(AdversarialTemplateTest, ZeroPaddedKeyRunRejected) {
-  // Nine-plus hex digits exceed kMaxKeyHexDigits even when the value
+  // Seventeen-plus hex digits exceed kMaxKeyHexDigits even when the value
   // itself is tiny: bem::TagCodec emits minimal hex, so an over-long run
   // is hostile input, and accepting it would let zero-padding inflate the
   // streaming scanner's partial-tag stash without bound.
-  ExpectCorrupt(Stx("G000000001") + std::string(1, kEtx));
-  ExpectCorrupt(Stx("S000000001") + std::string(1, kEtx));
+  ExpectCorrupt(Stx("G00000000000000001") + std::string(1, kEtx));
+  ExpectCorrupt(Stx("S00000000000000001") + std::string(1, kEtx));
 }
 
 TEST(AdversarialTemplateTest, DeepAlternationStaysLinear) {

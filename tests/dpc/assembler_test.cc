@@ -55,13 +55,16 @@ TEST(AssemblerTest, MissingFragmentIsNotFound) {
   EXPECT_TRUE(page.status().IsNotFound()) << page.status().ToString();
 }
 
-TEST(AssemblerTest, OutOfRangeKeyIsError) {
+TEST(AssemblerTest, KeyOfAnotherGenerationIsAMiss) {
+  // Key 50 in a 2-slot store is slot 0, generation 25: the slot's key 0
+  // occupant must not be spliced for it.
   FragmentStore store(2);
+  ASSERT_TRUE(store.Set(0, "generation zero").ok());
   std::string wire;
   bem::TagCodec::AppendGet(50, wire);
   Result<AssembledPage> page = AssemblePage(wire, store);
   EXPECT_FALSE(page.ok());
-  EXPECT_TRUE(page.status().IsInvalidArgument());
+  EXPECT_TRUE(page.status().IsNotFound());
 }
 
 TEST(AssemblerTest, CorruptTemplateIsError) {

@@ -1,5 +1,10 @@
 #include "dpc/fragment_store.h"
 
+#include <chrono>
+#include <memory>
+#include <string>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 namespace dynaprox::dpc {
@@ -20,10 +25,212 @@ TEST(FragmentStoreTest, GetEmptySlotIsNotFound) {
   EXPECT_EQ(store.stats().get_misses, 1u);
 }
 
-TEST(FragmentStoreTest, OutOfRangeKeysRejected) {
+TEST(FragmentStoreTest, KeysBeyondCapacityAddressLaterGenerations) {
+  // Key 5 in a 2-slot store is slot 1, generation 2: it shares slot 1
+  // with keys 1 and 3 but is none of them. Only the reserved sentinel is
+  // rejected outright.
   FragmentStore store(2);
-  EXPECT_TRUE(store.Set(2, "x").IsInvalidArgument());
-  EXPECT_TRUE(store.Get(2).status().IsInvalidArgument());
+  ASSERT_TRUE(store.Set(5, "x").ok());
+  EXPECT_EQ(**store.Get(5), "x");
+  EXPECT_TRUE(store.Get(1).status().IsNotFound());
+  EXPECT_TRUE(store.Get(3).status().IsNotFound());
+  EXPECT_TRUE(store.Get(7).status().IsNotFound());
+  EXPECT_EQ(store.occupied_slots(), 1u);
+  EXPECT_TRUE(store.Set(bem::kInvalidDpcKey, "x").IsInvalidArgument());
+}
+
+TEST(FragmentStoreTest, GetHitsOnlyTheExactKey) {
+  FragmentStore store(4);
+  ASSERT_TRUE(store.Set(6, "gen1").ok());  // Slot 2, generation 1.
+  EXPECT_EQ(**store.Get(6), "gen1");
+  // The slot's other generations are misses, not splices.
+  EXPECT_TRUE(store.Get(2).status().IsNotFound());
+  EXPECT_TRUE(store.Get(10).status().IsNotFound());
+  EXPECT_EQ(store.stats().get_misses, 2u);
+}
+
+TEST(FragmentStoreTest, OlderSetNeverReplacesANewerKey) {
+  // Two responses in flight can deliver a slot's SETs out of order. Slot
+  // 2 of a 4-slot store holds keys 2, 6, 10, ... in turn.
+  FragmentStore store(4);
+  ASSERT_TRUE(store.Set(6, "gen1").ok());
+  // With no response in flight nothing can want the late, older SET.
+  ASSERT_TRUE(store.Set(2, "gen0").ok());
+  EXPECT_EQ(**store.Get(6), "gen1");
+  EXPECT_TRUE(store.Get(2).status().IsNotFound());
+  EXPECT_EQ(store.stats().stale_sets, 1u);
+  EXPECT_EQ(store.stats().sets, 1u);
+  EXPECT_EQ(store.occupied_slots(), 1u);
+  EXPECT_EQ(store.content_bytes(), 4u);
+}
+
+FragmentRef Text(const char* text) {
+  return std::make_shared<const std::string>(text);
+}
+
+TEST(FragmentStoreTest, OlderSetFromAResponseInFlightNeverReplacesANewerKey) {
+  // The older SET's response was already open when the newer key landed:
+  // it was rendered before the slot's reassignment.
+  FragmentStore store(4);
+  FragmentStore::Writer slow = store.OpenWriter();
+  FragmentStore::Writer fast = store.OpenWriter();
+  ASSERT_TRUE(store.Set(6, Text("gen1"), &fast).ok());
+  fast.Close();
+  ASSERT_TRUE(store.Set(2, Text("gen0"), &slow).ok());  // Kept aside.
+  slow.Close();
+  EXPECT_EQ(**store.Get(6), "gen1");
+  EXPECT_TRUE(store.Get(2).status().IsNotFound());
+}
+
+TEST(FragmentStoreTest, LowerKeyFromAResponseOpenedLaterIsARestartedBem) {
+  // Slot 2 holds generation 3 of an origin that has since restarted and
+  // hands out generation 0 again. The response carrying key 2 opened after
+  // key 14 was stored, so it was rendered later: its key takes the slot,
+  // and no GET can find the old incarnation's bytes any more.
+  FragmentStore store(4);
+  {
+    FragmentStore::Writer before_restart = store.OpenWriter();
+    ASSERT_TRUE(store.Set(14, Text("old incarnation"), &before_restart).ok());
+  }
+  FragmentStore::Writer after_restart = store.OpenWriter();
+  ASSERT_TRUE(store.Set(2, Text("new incarnation"), &after_restart).ok());
+  after_restart.Close();
+  EXPECT_EQ(**store.Get(2), "new incarnation");
+  EXPECT_TRUE(store.Get(14).status().IsNotFound());
+  EXPECT_EQ(store.stats().stale_sets, 0u);
+  EXPECT_EQ(store.stats().sets, 2u);
+  // A push carries no response, so it follows key order alone.
+  ASSERT_TRUE(store.SetPushed(10, Text("pushed"), 0, 0).ok());
+  ASSERT_TRUE(store.SetPushed(6, Text("older push"), 0, 0).ok());
+  EXPECT_EQ(**store.Get(10), "pushed");
+  EXPECT_EQ(store.stats().stale_sets, 1u);
+}
+
+TEST(FragmentStoreTest, PagesInFlightStillFindTheSlotsEarlierKeys) {
+  // A page rendered before the slot's reassignment may arrive after the
+  // next occupant: the displaced occupant and a late older SET are kept
+  // aside while a response opened before they left the slot is open.
+  FragmentStore store(4);
+  ASSERT_TRUE(store.Set(2, "gen0").ok());
+  FragmentStore::Writer in_flight = store.OpenWriter();
+  ASSERT_TRUE(store.Set(6, "gen1").ok());  // Displaces gen0.
+  EXPECT_EQ(**store.Get(6), "gen1");
+  EXPECT_EQ(**store.Get(2), "gen0");
+  ASSERT_TRUE(store.Set(14, "gen3").ok());
+  ASSERT_TRUE(store.Set(10, "gen2").ok());  // Late: kept aside too.
+  EXPECT_EQ(**store.Get(14), "gen3");
+  EXPECT_EQ(**store.Get(10), "gen2");
+  EXPECT_EQ(**store.Get(6), "gen1");
+  EXPECT_EQ(store.stats().stale_sets, 0u);
+  // Once that response closes, no page in flight can want them.
+  in_flight.Close();
+  EXPECT_TRUE(store.Get(2).status().IsNotFound());
+  EXPECT_TRUE(store.Get(10).status().IsNotFound());
+  EXPECT_EQ(**store.Get(14), "gen3");
+}
+
+TEST(FragmentStoreTest, AwaitEndsWhenItsSetLands) {
+  FragmentStore store(4);
+  // The response carrying the SET opened first; the waiting response's
+  // head arrived while it was still open.
+  FragmentStore::Writer carrier = store.OpenWriter();
+  FragmentStore::Writer waiter = store.OpenWriter();
+  waiter.HeadArrived();
+  ASSERT_TRUE(store.Set(2, "previous occupant").ok());
+  std::thread setter([&store] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(store.Set(6, "landed").ok());
+  });
+  const auto start = std::chrono::steady_clock::now();
+  Result<FragmentRef> got =
+      store.Await(6, waiter, start + std::chrono::seconds(10));
+  setter.join();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(**got, "landed");
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_EQ(store.stats().set_waits, 1u);
+}
+
+TEST(FragmentStoreTest, AwaitEndsWhenEarlierWritersClose) {
+  FragmentStore store(4);
+  FragmentStore::Writer carrier = store.OpenWriter();
+  FragmentStore::Writer waiter = store.OpenWriter();
+  waiter.HeadArrived();
+  // A writer opened after the head can't carry the SET: not waited for.
+  FragmentStore::Writer later = store.OpenWriter();
+  std::thread closer([&carrier] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    carrier.Close();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  Result<FragmentRef> got =
+      store.Await(6, waiter, start + std::chrono::seconds(10));
+  closer.join();
+  EXPECT_TRUE(got.status().IsNotFound());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_EQ(store.stats().set_waits, 1u);
+}
+
+TEST(FragmentStoreTest, AwaitDoesNotWaitWithoutAnEarlierWriter) {
+  FragmentStore store(4);
+  FragmentStore::Writer waiter = store.OpenWriter();
+  waiter.HeadArrived();
+  FragmentStore::Writer later = store.OpenWriter();
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(store.Await(6, waiter, start + std::chrono::seconds(10))
+                  .status()
+                  .IsNotFound());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_EQ(store.stats().set_waits, 0u);
+}
+
+TEST(FragmentStoreTest, WaitersDoNotWaitForEachOther) {
+  // Two responses that each opened before the other's head and both miss:
+  // neither carries a SET while it waits, so once both wait one of them
+  // goes on, and the other waits only until that one is done, never for
+  // its deadline.
+  FragmentStore store(4);
+  FragmentStore::Writer first = store.OpenWriter();
+  FragmentStore::Writer second = store.OpenWriter();
+  first.HeadArrived();
+  second.HeadArrived();
+  const auto start = std::chrono::steady_clock::now();
+  const auto deadline = start + std::chrono::seconds(10);
+  std::thread other([&] {
+    EXPECT_TRUE(store.Await(5, second, deadline).status().IsNotFound());
+    second.Close();  // Its recovery and the rest of its scan.
+  });
+  EXPECT_TRUE(store.Await(6, first, deadline).status().IsNotFound());
+  first.Close();
+  other.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  // A response in flight that is not waiting still holds a waiter back
+  // until it closes.
+  FragmentStore::Writer carrier = store.OpenWriter();
+  FragmentStore::Writer waiter = store.OpenWriter();
+  waiter.HeadArrived();
+  std::thread closer([&carrier] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    carrier.Close();
+  });
+  const auto held = std::chrono::steady_clock::now();
+  EXPECT_TRUE(store.Await(7, waiter, deadline).status().IsNotFound());
+  closer.join();
+  EXPECT_GE(std::chrono::steady_clock::now() - held,
+            std::chrono::milliseconds(20));
+}
+
+TEST(FragmentStoreTest, AwaitStopsAtItsDeadline) {
+  FragmentStore store(4);
+  FragmentStore::Writer carrier = store.OpenWriter();
+  FragmentStore::Writer waiter = store.OpenWriter();
+  waiter.HeadArrived();
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(store.Await(6, waiter, start + std::chrono::milliseconds(30))
+                  .status()
+                  .IsNotFound());
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(30));
 }
 
 TEST(FragmentStoreTest, OverwriteReplacesContentAndAccounting) {

@@ -128,6 +128,50 @@ TEST(DpcProxyTest, UnrecoverableMissYields502) {
   EXPECT_EQ(response.status_code, 502);
 }
 
+// An origin that answers with GET 3 (slot 3 of 8, generation 0) and
+// answers each refresh with `refreshed`, a template of its own.
+net::Handler GetThreeThenRefreshWith(std::string refreshed) {
+  return [refreshed](const http::Request& request) {
+    std::string body = "<";
+    if (request.headers.Has(bem::kRefreshHeader)) {
+      body += refreshed;
+    } else {
+      bem::TagCodec::AppendGet(3, body);
+    }
+    body += ">";
+    http::Response response = http::Response::MakeOk(std::move(body));
+    response.headers.Set(bem::kTemplateHeader, "1");
+    return response;
+  };
+}
+
+TEST(DpcProxyTest, RefreshFillsAHoleWithItsOwnSetIntoTheSameSlot) {
+  // The refresh re-renders the fragment in the pinned slot under the
+  // slot's next key, 3 + 8: the hole for key 3 takes that SET.
+  std::string refreshed;
+  bem::TagCodec::AppendSet(11, "fresh", refreshed);
+  net::DirectTransport upstream(GetThreeThenRefreshWith(refreshed));
+  DpcProxy proxy(&upstream, SmallProxy());
+  http::Response response = proxy.Handle(http::Request{});
+  EXPECT_EQ(response.status_code, 200);
+  EXPECT_EQ(response.BodyText(), "<fresh>");
+  EXPECT_EQ(proxy.stats().recoveries, 1u);
+}
+
+TEST(DpcProxyTest, HoleNeverTakesAnotherSlotOrAnotherGeneration) {
+  // The store holds slot 3's generation 2 (key 19), and the refresh only
+  // SETs slot 4: neither is key 3, so the hole stays open and the page
+  // is refused rather than spliced with either fragment.
+  std::string refreshed;
+  bem::TagCodec::AppendSet(4, "other slot", refreshed);
+  net::DirectTransport upstream(GetThreeThenRefreshWith(refreshed));
+  DpcProxy proxy(&upstream, SmallProxy());
+  ASSERT_TRUE(proxy.mutable_store().Set(19, "other generation").ok());
+  http::Response response = proxy.Handle(http::Request{});
+  EXPECT_EQ(response.status_code, 502);
+  EXPECT_EQ(response.BodyText().find("other"), std::string::npos);
+}
+
 TEST(DpcProxyTest, CorruptTemplateYields502) {
   net::DirectTransport upstream([](const http::Request&) {
     http::Response response = http::Response::MakeOk("\x02" "broken");

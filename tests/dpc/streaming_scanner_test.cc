@@ -150,10 +150,10 @@ std::vector<CorpusCase> Corpus() {
            "\x02Q\x03",                      // Unknown marker.
            "\x02Gzz\x03",                    // Non-hex key.
            "\x02G\x03",                      // Empty key.
-           "\x02G1ffffffff\x03",             // Key over 32 bits.
-           "\x02GFFFFFFFF\x03",              // Sentinel key.
-           "\x02SFFFFFFFF\x03",              // Sentinel SET key.
-           "\x02G000000001\x03",             // Zero-padded run.
+           "\x02G1ffffffffffffffff\x03",     // Key over 64 bits.
+           "\x02GFFFFFFFFFFFFFFFF\x03",      // Sentinel key.
+           "\x02SFFFFFFFFFFFFFFFF\x03",      // Sentinel SET key.
+           "\x02G00000000000000001\x03",     // Zero-padded run.
            "\x02L",                          // Truncated escape.
            "\x02Lx",                         // Bad escape byte.
        }) {
@@ -377,10 +377,12 @@ TEST(StreamingAssemblerTest, MissResolverSuppliesColdFragment) {
   FragmentStore store(16);
   int calls = 0;
   StreamingAssembler assembler(
-      store, [&](const std::vector<bem::DpcKey>& keys) {
+      store, [&](const std::vector<bem::DpcKey>& keys,
+                 std::vector<FragmentRef>& found) {
         ++calls;
         EXPECT_EQ(keys, std::vector<bem::DpcKey>{0x9});
-        return store.Set(0x9, std::make_shared<const std::string>("recovered"));
+        found[0] = std::make_shared<const std::string>("recovered");
+        return Status::Ok();
       });
   common::BufferChain out;
   ASSERT_TRUE(assembler.Feed(common::MakeBuffer(wire), out).ok());
@@ -405,12 +407,12 @@ TEST(StreamingAssemblerTest, OneResolverCallServesEveryMissOfAFeed) {
   FragmentStore store(16);
   std::vector<std::vector<bem::DpcKey>> calls;
   StreamingAssembler assembler(
-      store, [&](const std::vector<bem::DpcKey>& keys) {
+      store, [&](const std::vector<bem::DpcKey>& keys,
+                 std::vector<FragmentRef>& found) {
         calls.push_back(keys);
-        for (bem::DpcKey key : keys) {
-          Status stored = store.Set(
-              key, std::make_shared<const std::string>("<" + ToHex(key) + ">"));
-          if (!stored.ok()) return stored;
+        for (size_t i = 0; i < keys.size(); ++i) {
+          found[i] =
+              std::make_shared<const std::string>("<" + ToHex(keys[i]) + ">");
         }
         return Status::Ok();
       });
@@ -424,6 +426,20 @@ TEST(StreamingAssemblerTest, OneResolverCallServesEveryMissOfAFeed) {
   ASSERT_EQ(calls.size(), 1u);
   EXPECT_EQ(calls[0], (std::vector<bem::DpcKey>{0x5, 0x3}));
   EXPECT_EQ(assembler.progress().set_keys, std::vector<bem::DpcKey>{0x1});
+}
+
+TEST(StreamingAssemblerTest, HoleTheResolverLeavesEmptyFailsTheCall) {
+  std::string wire;
+  bem::TagCodec::AppendGet(0x9, wire);
+  FragmentStore store(16);
+  StreamingAssembler assembler(
+      store,
+      [](const std::vector<bem::DpcKey>&, std::vector<FragmentRef>&) {
+        return Status::Ok();
+      });
+  common::BufferChain out;
+  Status fed = assembler.Feed(common::MakeBuffer(wire), out);
+  EXPECT_TRUE(fed.IsNotFound()) << fed.ToString();
 }
 
 TEST(StreamingAssemblerTest, MissWithoutResolverFailsTheStream) {
@@ -441,9 +457,10 @@ TEST(StreamingAssemblerTest, ResolverErrorAbortsWithThatStatus) {
   std::string wire;
   bem::TagCodec::AppendGet(0x9, wire);
   FragmentStore store(16);
-  StreamingAssembler assembler(store, [](const std::vector<bem::DpcKey>&) {
-    return Status::IoError("origin unreachable");
-  });
+  StreamingAssembler assembler(
+      store, [](const std::vector<bem::DpcKey>&, std::vector<FragmentRef>&) {
+        return Status::IoError("origin unreachable");
+      });
   common::BufferChain out;
   Status fed = assembler.Feed(common::MakeBuffer(wire), out);
   EXPECT_FALSE(fed.ok());
@@ -458,7 +475,8 @@ TEST(StreamingAssemblerTest, ResolverNotConsultedForWarmKeys) {
       store.Set(0x4, std::make_shared<const std::string>("warm")).ok());
   int calls = 0;
   StreamingAssembler assembler(
-      store, [&calls](const std::vector<bem::DpcKey>&) {
+      store,
+      [&calls](const std::vector<bem::DpcKey>&, std::vector<FragmentRef>&) {
         ++calls;
         return Status::Internal("unexpected");
       });

@@ -111,22 +111,23 @@ TEST_P(TagScannerTest, RejectsMalformedLiteralEscape) {
 TEST_P(TagScannerTest, RejectsBadHexKey) {
   EXPECT_TRUE(Parse("\x02Gzz\x03").status().IsCorruption());
   EXPECT_TRUE(Parse("\x02G\x03").status().IsCorruption());  // Empty key.
-  // Key wider than 32 bits.
-  EXPECT_TRUE(Parse("\x02G1ffffffff\x03").status().IsCorruption());
+  // Key wider than 64 bits.
+  EXPECT_TRUE(Parse("\x02G1ffffffffffffffff\x03").status().IsCorruption());
 }
 
 TEST_P(TagScannerTest, RejectsSentinelKey) {
-  // "FFFFFFFF" is bem::kInvalidDpcKey — the "no key" sentinel downstream;
-  // a tag carrying it is Corruption at parse, not a store-layer surprise.
-  EXPECT_TRUE(Parse("\x02GFFFFFFFF\x03").status().IsCorruption());
-  EXPECT_TRUE(Parse("\x02SFFFFFFFF\x03").status().IsCorruption());
+  // Sixteen F's is bem::kInvalidDpcKey — the "no key" sentinel
+  // downstream; a tag carrying it is Corruption at parse, not a
+  // store-layer surprise.
+  EXPECT_TRUE(Parse("\x02GFFFFFFFFFFFFFFFF\x03").status().IsCorruption());
+  EXPECT_TRUE(Parse("\x02SFFFFFFFFFFFFFFFF\x03").status().IsCorruption());
 }
 
 TEST_P(TagScannerTest, RejectsHexRunOverMaxDigits) {
   // bem::TagCodec emits minimal hex; more than kMaxKeyHexDigits is
   // hostile even when zero-padding keeps the value small.
-  EXPECT_TRUE(Parse("\x02G000000001\x03").status().IsCorruption());
-  EXPECT_TRUE(Parse("\x02S000000001\x03").status().IsCorruption());
+  EXPECT_TRUE(Parse("\x02G00000000000000001\x03").status().IsCorruption());
+  EXPECT_TRUE(Parse("\x02S00000000000000001\x03").status().IsCorruption());
 }
 
 TEST_P(TagScannerTest, RejectsUnterminatedSet) {

@@ -211,6 +211,34 @@ TEST_F(EdgeClusterTest, SurvivesMarkDownWithZero5xx) {
   EXPECT_EQ(cluster_->stats().routing_failures, 0u);
 }
 
+TEST_F(EdgeClusterTest, ReusedSlotServesTheUpdatedQuoteOnEveryNode) {
+  // Every node holds the quote's first incarnation in slot 0. Then 32
+  // content-changing updates, each rendered through edge-1 only, walk the
+  // quote through every slot of the 32-slot directory and back to slot 0.
+  // A node that never saw those renders still holds slot 0's first
+  // occupant; it must not splice it for the slot's new key.
+  for (const char* node : {"edge-1", "edge-2", "edge-3"}) {
+    http::Response warm = cluster_->Handle(RequestFromClient(ClientOn(node)));
+    ASSERT_EQ(warm.BodyText(), "[head]IBM@100.00[tail]") << node;
+  }
+  ASSERT_EQ(QuoteKey(), 0u);
+  storage::Table* quotes = *repository_.GetTable("quotes");
+  const std::string edge_1_client = ClientOn("edge-1");
+  for (int update = 1; update <= 32; ++update) {
+    quotes->Upsert("IBM", {{"price", storage::Value(100.0 + update)}});
+    http::Response response =
+        cluster_->Handle(RequestFromClient(edge_1_client));
+    ASSERT_EQ(response.status_code, 200) << "update " << update;
+  }
+  EXPECT_EQ(QuoteKey() % 32, 0u);  // Back in slot 0.
+  for (const char* node : {"edge-1", "edge-2", "edge-3"}) {
+    http::Response response =
+        cluster_->Handle(RequestFromClient(ClientOn(node)));
+    EXPECT_EQ(response.status_code, 200) << node;
+    EXPECT_EQ(response.BodyText(), "[head]IBM@132.00[tail]") << node;
+  }
+}
+
 TEST_F(EdgeClusterTest, PushedInvalidationVisibleWithoutClientMiss) {
   // Warm the cluster and build up a popularity signal.
   for (int i = 0; i < 4; ++i) {

@@ -83,10 +83,11 @@ class ConcurrencyTest : public ::testing::Test {
     origin_server_ = std::make_unique<net::TcpServer>(origin_->AsHandler());
     ASSERT_TRUE(origin_server_->Start().ok());
 
-    // A pool of one serializes upstream round trips on one connection.
-    // The default of 8 exposes the reused-dpcKey race (ROADMAP item 1).
+    // The proxy tool's default pool of 8: upstream round trips overlap,
+    // so a GET can overtake the SET a concurrent response carries for a
+    // reused slot. Generation-carrying dpcKeys keep every page correct.
     net::PooledTransportOptions upstream_options;
-    upstream_options.pool.max_connections = 1;
+    upstream_options.pool.max_connections = 8;
     to_origin_ = std::make_unique<net::PooledClientTransport>(
         "127.0.0.1", origin_server_->port(), upstream_options);
     dpc::ProxyOptions proxy_options;

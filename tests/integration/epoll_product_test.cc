@@ -43,10 +43,11 @@ TEST(EpollProductTest, DpcOverEpollOriginServesCorrectPages) {
   net::EpollServer origin_server(origin.AsHandler(), 0, /*workers=*/2);
   ASSERT_TRUE(origin_server.Start().ok());
 
-  // A pool of one serializes upstream round trips on one connection.
-  // The default of 8 exposes the reused-dpcKey race (ROADMAP item 1).
+  // The proxy tool's default pool of 8: upstream round trips overlap,
+  // so a GET can overtake the SET a concurrent response carries for a
+  // reused slot. Generation-carrying dpcKeys keep every page correct.
   net::PooledTransportOptions upstream_options;
-  upstream_options.pool.max_connections = 1;
+  upstream_options.pool.max_connections = 8;
   net::PooledClientTransport to_origin("127.0.0.1", origin_server.port(),
                                        upstream_options);
   dpc::ProxyOptions proxy_options;

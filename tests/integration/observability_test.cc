@@ -435,6 +435,8 @@ TEST_F(ObservabilityTest, ProxyStatusSkeletonIsByteCompatible) {
       "\"dynaprox_store_gets_total\":N,"
       "\"dynaprox_store_get_misses_total\":N,"
       "\"dynaprox_store_pushes_total\":N,"
+      "\"dynaprox_store_stale_sets_total\":N,"
+      "\"dynaprox_store_set_waits_total\":N,"
       "\"dynaprox_store_pushed_slots\":N,"
       "\"dynaprox_static_cache_entries\":N,"
       "\"dynaprox_static_cache_hits_total\":N,"

@@ -1,7 +1,9 @@
 // Failure-injection integration tests: DPC restart (cold cache), firewall
 // in the path, corrupt templates from a buggy origin.
 
+#include <future>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -91,6 +93,65 @@ TEST_F(RecoveryTest, RepeatedRestartsAlwaysRecover) {
   }
   EXPECT_EQ(Fetch().BodyText(), "[fragment-body]");
   EXPECT_EQ(dpc_->stats().template_errors, 0u);
+}
+
+TEST_F(RecoveryTest, OverlappingMissesOfASharedFragmentBothRecover) {
+  // A cold DPC in front of a warm BEM: two overlapping responses, for two
+  // pages, both GET the shared fragment's key. The first refresh re-keys
+  // the fragment into its slot's next generation; the second refresh must
+  // still find it by its slot and re-render it into that slot.
+  for (const char* page : {"/a", "/b"}) {
+    registry_.RegisterOrReplace(
+        page, [this, page](appserver::ScriptContext& context) {
+          context.Emit(std::string(page) + ":");
+          return context.CacheableBlock(
+              bem::FragmentId("shared"), [this](appserver::ScriptContext& ctx) {
+                ++generations_;
+                ctx.Emit("shared-body");
+                return Status::Ok();
+              });
+        });
+  }
+  auto fetch = [this](dpc::DpcProxy& proxy, const char* target) {
+    http::Request request;
+    request.target = target;
+    return proxy.Handle(request);
+  };
+  ASSERT_EQ(fetch(*dpc_, "/a").BodyText(), "/a:shared-body");
+  dpc_->ClearCache();
+
+  // "/a"'s refresh reaches the origin only after "/b" was rendered with
+  // the key both responses miss.
+  std::promise<void> a_refreshing;
+  std::promise<void> b_rendered;
+  std::shared_future<void> b_rendered_future = b_rendered.get_future().share();
+  net::DirectTransport gated([&](const http::Request& request) {
+    const bool refresh = request.headers.Has(bem::kRefreshHeader);
+    if (refresh && request.target == "/a") {
+      a_refreshing.set_value();
+      b_rendered_future.wait();
+    }
+    http::Response response = origin_->Handle(request);
+    if (!refresh && request.target == "/b") b_rendered.set_value();
+    return response;
+  });
+  dpc::ProxyOptions proxy_options;
+  proxy_options.capacity = 8;
+  dpc::DpcProxy cold(&gated, proxy_options);
+  std::future<http::Response> a =
+      std::async(std::launch::async, [&] { return fetch(cold, "/a"); });
+  a_refreshing.get_future().wait();
+  std::future<http::Response> b =
+      std::async(std::launch::async, [&] { return fetch(cold, "/b"); });
+
+  http::Response a_page = a.get();
+  http::Response b_page = b.get();
+  EXPECT_EQ(a_page.status_code, 200);
+  EXPECT_EQ(a_page.BodyText(), "/a:shared-body");
+  EXPECT_EQ(b_page.status_code, 200);
+  EXPECT_EQ(b_page.BodyText(), "/b:shared-body");
+  EXPECT_EQ(cold.stats().recoveries, 2u);
+  EXPECT_EQ(cold.stats().template_errors, 0u);
 }
 
 TEST_F(RecoveryTest, FirewallBetweenDpcAndOriginStillWorks) {
