@@ -8,13 +8,17 @@
 //   * a miss that evicts: CacheDirectory::Insert at capacity 1,024 cycling
 //     over 1,600 fragment ids with one row dependency each, the shape of
 //     perfbench's churn workload, so every insert evicts the LRU victim
-//     and drops its dependency.
+//     and drops its dependency. It reports heap allocations per insert
+//     beside evictions per insert, counted by this binary's global
+//     operator new.
 //
 // Run: ./build/bench/bench_bem_block_path
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -25,6 +29,20 @@
 #include "bem/tag_codec.h"
 #include "common/clock.h"
 #include "common/rng.h"
+
+// Every heap allocation of the process, counted. Kept out of line, so the
+// compiler never pairs an inlined free() with a new it can see.
+std::atomic<uint64_t> g_allocations{0};
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -118,21 +136,30 @@ void BM_InsertWithEviction(benchmark::State& state) {
     ids.push_back(SlotFragment(slot));
     deps.push_back({{"content", "s" + std::to_string(slot)}});
   }
-  // Fill to capacity so every measured insert evicts.
-  size_t next = 0;
-  for (; next < kCapacity; ++next) {
-    if (!directory->Insert(ids[next], 0, deps[next]).ok()) abort();
+  // Insert every id once: the directory is full, so every measured insert
+  // evicts, and every row has been seen, so the measured inserts run in
+  // steady state.
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (!directory->Insert(ids[i], 0, deps[i]).ok()) abort();
   }
+  size_t next = 0;
   const uint64_t evictions_before = directory->stats().evictions;
+  const uint64_t allocations_before =
+      g_allocations.load(std::memory_order_relaxed);
   for (auto _ : state) {
     auto key = directory->Insert(ids[next], 0, deps[next]);
     if (!key.ok()) abort();
     benchmark::DoNotOptimize(*key);
     next = (next + 1) % ids.size();
   }
+  const double inserts = static_cast<double>(state.iterations());
+  state.counters["allocs/insert"] =
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) -
+                          allocations_before) /
+      inserts;
   state.counters["evictions/insert"] =
       static_cast<double>(directory->stats().evictions - evictions_before) /
-      static_cast<double>(state.iterations());
+      inserts;
 }
 
 BENCHMARK(BM_AppendLiteral)

@@ -2,7 +2,8 @@
 # Tier-1 verification: everything a PR must keep green.
 #
 #   1. plain build + the full ctest suite (includes the docs-link check
-#      and the gcc fuzz-smoke corpus tests)
+#      and the gcc fuzz-smoke corpus tests), and the replacement ablation
+#      diffed against its golden output
 #   2. the perfbench binary compiles (Release) and one short run per
 #      workload answers every request with the right bytes (no timing)
 #   3. AddressSanitizer+UBSan over the memory-sensitive suites
@@ -20,6 +21,14 @@ echo "== tier1: build + full test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
+
+# bench_ablation_replacement is deterministic (fixed seeds, simulated
+# testbed) and takes about 1.5 s: its hit ratio, evictions, payload bytes
+# and recoveries per policy and capacity must not drift. A change meant
+# to move them rewrites bench/golden/ablation_replacement.txt and says why.
+echo "== tier1: replacement ablation matches its golden output =="
+./build/bench/bench_ablation_replacement |
+  diff -u bench/golden/ablation_replacement.txt -
 
 # perfbench is a CMake project of its own (perfbench/README.md) that only
 # perfbench/run.py builds, yet it compiles against the net/ and dpc/ APIs:

@@ -9,11 +9,12 @@
 namespace dynaprox::bem {
 
 namespace {
-// Bound on allocate/evict rounds in Insert. Each failed round means another
-// thread won the race for the key we freed; with a sane policy the loop
-// terminates in one or two rounds, so hitting the cap indicates either a
-// policy with no candidates left or pathological contention — both are
-// reported as CapacityExceeded rather than spinning forever.
+// Bound on allocate/evict rounds in Insert. A failed round means a
+// concurrent invalidation beat the eviction to its victim; with a sane
+// policy the loop terminates in one or two rounds, so hitting the cap
+// indicates either a policy with no candidates left or pathological
+// contention — both are reported as CapacityExceeded rather than spinning
+// forever.
 constexpr int kMaxInsertRounds = 64;
 }  // namespace
 
@@ -22,8 +23,7 @@ CacheDirectory::CacheDirectory(DpcKey capacity, const Clock* clock,
     : clock_(clock),
       policy_(std::move(policy)),
       free_list_(capacity),
-      slot_owner_(capacity),
-      next_generation_(capacity, 0) {
+      slots_(std::make_unique<SlotRecord[]>(capacity)) {
   assert(clock_ != nullptr);
   assert(policy_ != nullptr);
 }
@@ -33,99 +33,130 @@ bool CacheDirectory::Expired(const Entry& entry) const {
          clock_->NowMicros() - entry.inserted_at >= entry.ttl_micros;
 }
 
-void CacheDirectory::InvalidateEntryLocked(const std::string& canonical,
-                                           Entry& entry, bool pin_key) {
+void CacheDirectory::InvalidateEntryLocked(Stripe& stripe, Entry& entry,
+                                           SlotRelease release) {
   assert(entry.is_valid);
   entry.is_valid = false;
-  valid_count_.fetch_sub(1, std::memory_order_relaxed);
+  --stripe.counters.valid;
+  const DpcKey slot = SlotOf(entry.key, capacity());
   // Dropped under the stripe lock: once the lock is released, a re-render
   // may publish this fragment again with fresh dependencies.
-  registry_.RemoveFragment(canonical);
+  registry_.Remove(slot);
+  // An eviction's victim was forgotten by the policy when it was picked.
+  if (release == SlotRelease::kKeep) return;
   {
     std::lock_guard<common::ContendedMutex> policy_lock(policy_mu_);
-    policy_->OnRemove(canonical);
+    policy_->OnRemove(slot);
   }
   // The slot goes to the back of the free list; the DPC is *not* told
   // (paper 4.3.3: "No action is taken by the DPC"). A refresh-pinned slot
   // goes to the front instead: the DPC explicitly asked for this fragment
   // to be regenerated, so the immediate re-render should land in it.
-  const DpcKey slot = SlotOf(entry.key, capacity());
-  Status released = pin_key ? free_list_.ReleaseFront(slot)
-                            : free_list_.Release(slot);
+  Status released = release == SlotRelease::kFront
+                        ? free_list_.ReleaseFront(slot)
+                        : free_list_.Release(slot);
   assert(released.ok());
   (void)released;
 }
 
-void CacheDirectory::ReclaimSlotOwner(DpcKey slot) {
-  std::string owner;
-  {
-    std::lock_guard<std::mutex> owner_lock(owner_mu_);
-    owner.swap(slot_owner_[slot]);
-  }
-  if (owner.empty()) return;
-  Stripe& stripe = StripeFor(owner);
-  std::lock_guard<common::ContendedMutex> lock(stripe.mu);
-  auto it = stripe.entries.find(owner);
-  // Erase the stale entry only if it still is the invalid incarnation that
-  // released this slot. (The owner record can be outdated: the fragment
-  // may have been re-inserted since in a different slot, overwriting its
-  // entry — in that case the entry is valid and must be kept.)
-  if (it != stripe.entries.end() && !it->second.is_valid &&
-      SlotOf(it->second.key, capacity()) == slot) {
-    stripe.entries.erase(it);
+CacheDirectory::SlotEntry CacheDirectory::LockSlotEntry(
+    DpcKey slot, std::unique_lock<common::ContendedMutex>& lock) {
+  SlotRecord& record = slots_[slot];
+  for (;;) {
+    Stripe* stripe = record.stripe.load(std::memory_order_acquire);
+    if (stripe == nullptr) return {};
+    std::unique_lock<common::ContendedMutex> held(stripe->mu);
+    // The record may have moved while this thread waited.
+    if (record.stripe.load(std::memory_order_relaxed) == stripe) {
+      lock = std::move(held);
+      return {stripe, record.entry};
+    }
   }
 }
 
+void CacheDirectory::ClearSlotLocked(DpcKey slot) {
+  slots_[slot].entry = nullptr;
+  slots_[slot].stripe.store(nullptr, std::memory_order_release);
+}
+
+CacheDirectory::EntryNode CacheDirectory::TakeSlotEntryLocked(
+    DpcKey slot, SlotEntry owner) {
+  ClearSlotLocked(slot);
+  EntryMap& entries = owner.stripe->entries;
+  return entries.extract(entries.find(HashedId(owner.entry->first)));
+}
+
+CacheDirectory::EntryNode CacheDirectory::ReclaimSlotOwner(DpcKey slot) {
+  std::unique_lock<common::ContendedMutex> lock;
+  SlotEntry owner = LockSlotEntry(slot, lock);
+  // The record names the invalid incarnation that released this slot: an
+  // entry re-inserted in place since has emptied the record of the slot
+  // it left (Insert, Phase D).
+  if (owner.entry == nullptr || owner.entry->second.is_valid) return {};
+  return TakeSlotEntryLocked(slot, owner);
+}
+
 LookupResult CacheDirectory::Lookup(const FragmentId& id) {
-  std::string canonical = id.Canonical();
-  Stripe& stripe = StripeFor(canonical);
+  const std::string canonical = id.Canonical();
+  const HashedId hashed = Hashed(canonical);
+  Stripe& stripe = StripeOf(hashed);
   std::lock_guard<common::ContendedMutex> lock(stripe.mu);
-  auto it = stripe.entries.find(canonical);
+  auto it = stripe.entries.find(hashed);
   if (it == stripe.entries.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++stripe.counters.misses;
     return {LookupOutcome::kMissAbsent};
   }
   Entry& entry = it->second;
   if (!entry.is_valid) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++stripe.counters.misses;
     return {LookupOutcome::kMissInvalid};
   }
   if (Expired(entry)) {
-    ttl_invalidations_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    InvalidateEntryLocked(canonical, entry);
+    ++stripe.counters.ttl_invalidations;
+    ++stripe.counters.misses;
+    InvalidateEntryLocked(stripe, entry, SlotRelease::kBack);
     return {LookupOutcome::kMissExpired};
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  ++stripe.counters.hits;
   {
     std::lock_guard<common::ContendedMutex> policy_lock(policy_mu_);
-    policy_->OnAccess(canonical);
+    policy_->OnAccess(SlotOf(entry.key, capacity()));
   }
   return {LookupOutcome::kHit, entry.key};
 }
 
-Status CacheDirectory::EvictOne() {
+Result<DpcKey> CacheDirectory::EvictOne(EntryNode& node) {
   // Injected failure degrades like any eviction race: the Insert round
   // retries and ultimately reports CapacityExceeded (uncached emit).
   DYNAPROX_RETURN_IF_ERROR(
       chaos::InjectStatus(DYNAPROX_FAULT_POINT("bem.directory.evict")));
-  // Replacement manager: evict a victim to free a key (paper 4.3.3).
-  Result<std::string> victim = [&]() -> Result<std::string> {
+  // Replacement manager: evict a victim to free a key (paper 4.3.3). The
+  // policy forgets the victim at once, so no concurrent eviction picks it.
+  Result<DpcKey> victim = [&]() -> Result<DpcKey> {
     std::lock_guard<common::ContendedMutex> policy_lock(policy_mu_);
-    return policy_->PickVictim();
+    Result<DpcKey> picked = policy_->PickVictim();
+    if (picked.ok()) policy_->OnRemove(*picked);
+    return picked;
   }();
   if (!victim.ok()) {
     return Status::CapacityExceeded(
         "directory full and no replacement candidate");
   }
-  Status invalidated = InvalidateCanonical(*victim);
-  if (invalidated.ok()) {
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+  std::unique_lock<common::ContendedMutex> lock;
+  SlotEntry owner = LockSlotEntry(*victim, lock);
+  if (owner.entry == nullptr || !owner.entry->second.is_valid) {
+    // A concurrent caller invalidated the victim first and released its
+    // slot to the free list, so the Insert round simply retries Allocate.
+    return Status::NotFound("victim no longer valid");
   }
-  // NotFound means a concurrent caller invalidated the victim first; the
-  // key it released is on the free list either way, so the Insert round
-  // simply retries Allocate.
-  return invalidated;
+  StripeCounters& counters = owner.stripe->counters;
+  ++counters.explicit_invalidations;
+  ++counters.evictions;
+  InvalidateEntryLocked(*owner.stripe, owner.entry->second,
+                        SlotRelease::kKeep);
+  // The slot is the caller's now, and its entry goes with it.
+  node = TakeSlotEntryLocked(*victim, owner);
+  return victim;
 }
 
 Result<DpcKey> CacheDirectory::Insert(const FragmentId& id,
@@ -137,42 +168,46 @@ Result<DpcKey> CacheDirectory::Insert(const FragmentId& id,
       !injected.ok()) {
     return injected;  // Caller degrades to an uncached emit.
   }
-  std::string canonical = id.Canonical();
-  Stripe& stripe = StripeFor(canonical);
+  const std::string canonical = id.Canonical();
+  const HashedId hashed = Hashed(canonical);
+  Stripe& stripe = StripeOf(hashed);
 
   // Phase A — re-inserting a valid fragment (e.g. forced refresh) releases
   // its key first so it flows through the normal allocation path.
   {
     std::lock_guard<common::ContendedMutex> lock(stripe.mu);
-    auto it = stripe.entries.find(canonical);
+    auto it = stripe.entries.find(hashed);
     if (it != stripe.entries.end() && it->second.is_valid) {
-      explicit_invalidations_.fetch_add(1, std::memory_order_relaxed);
-      InvalidateEntryLocked(canonical, it->second);
+      ++stripe.counters.explicit_invalidations;
+      InvalidateEntryLocked(stripe, it->second, SlotRelease::kBack);
     }
   }
 
-  // Phase B — allocate a slot, evicting victims as needed. Runs with no
-  // stripe lock held: eviction touches arbitrary stripes. A freed slot can
-  // be snatched by a concurrent Insert before our re-Allocate; that just
-  // costs another round.
-  Result<DpcKey> slot = Status::CapacityExceeded("unallocated");
-  for (int round = 0; round < kMaxInsertRounds; ++round) {
+  // Phase B — take a slot: the free list's oldest, or else the one an
+  // eviction frees, which stays ours. Runs with no stripe lock held:
+  // eviction touches arbitrary stripes. A round is retried only when a
+  // concurrent invalidation beat the eviction to its victim. Either way
+  // the stale entry still referencing the slot (possibly this very
+  // fragment's previous incarnation) leaves the map, and its node is
+  // reused below. We hold the slot exclusively, so no other thread can be
+  // reclaiming it or reading its generation.
+  EntryNode node;
+  std::optional<DpcKey> slot;
+  for (int round = 0; round < kMaxInsertRounds && !slot; ++round) {
     if (round > 0) insert_races_.fetch_add(1, std::memory_order_relaxed);
-    slot = free_list_.Allocate();
-    if (slot.ok()) break;
-    Status evicted = EvictOne();
-    if (evicted.IsCapacityExceeded()) return evicted;
+    if ((slot = free_list_.Allocate())) {
+      node = ReclaimSlotOwner(*slot);
+      break;
+    }
+    Result<DpcKey> evicted = EvictOne(node);
+    if (evicted.ok()) slot = *evicted;
+    if (evicted.status().IsCapacityExceeded()) return evicted.status();
   }
-  if (!slot.ok()) {
-    return Status::CapacityExceeded("insert retry limit exhausted");
-  }
+  if (!slot) return Status::CapacityExceeded("insert retry limit exhausted");
 
-  // Phase C — the allocated slot may still be referenced by a stale
-  // invalid entry (possibly this very fragment's previous incarnation). We
-  // hold the slot exclusively (it is off the free list), so no other
-  // thread can be reclaiming it or reading its generation.
-  ReclaimSlotOwner(*slot);
-  const DpcKey key = next_generation_[*slot]++ * capacity() + *slot;
+  // Phase C — the key: the slot's next generation.
+  SlotRecord& record = slots_[*slot];
+  const DpcKey key = record.next_generation++ * capacity() + *slot;
 
   // Phase D — publish the entry with its dependencies. Re-check for a
   // concurrent insert of the same fragment that won between phases A and
@@ -180,26 +215,40 @@ Result<DpcKey> CacheDirectory::Insert(const FragmentId& id,
   // dependencies) before being overwritten, or the key would leak.
   {
     std::lock_guard<common::ContendedMutex> lock(stripe.mu);
-    auto it = stripe.entries.find(canonical);
+    auto it = stripe.entries.find(hashed);
     if (it != stripe.entries.end() && it->second.is_valid) {
       insert_races_.fetch_add(1, std::memory_order_relaxed);
-      explicit_invalidations_.fetch_add(1, std::memory_order_relaxed);
-      InvalidateEntryLocked(canonical, it->second);
+      ++stripe.counters.explicit_invalidations;
+      InvalidateEntryLocked(stripe, it->second, SlotRelease::kBack);
     }
-    stripe.entries[canonical] =
-        Entry{key, /*is_valid=*/true, ttl_micros, clock_->NowMicros()};
-    for (const auto& [table, row_key] : deps) {
-      registry_.Add(canonical, table, row_key);
+    const Entry entry{key, /*is_valid=*/true, ttl_micros, clock_->NowMicros()};
+    if (it != stripe.entries.end()) {
+      // Reused in place: the slot the old incarnation referenced no
+      // longer leads to it.
+      SlotRecord& left = slots_[SlotOf(it->second.key, capacity())];
+      if (left.stripe.load(std::memory_order_relaxed) == &stripe &&
+          left.entry == &*it) {
+        ClearSlotLocked(SlotOf(it->second.key, capacity()));
+      }
+      it->second = entry;
+      record.entry = &*it;
+    } else if (!node.empty()) {
+      node.key().canonical.assign(canonical);
+      node.key().hash = hashed.hash;
+      node.mapped() = entry;
+      record.entry = &*stripe.entries.insert(std::move(node)).position;
+    } else {
+      record.entry =
+          &*stripe.entries.emplace(EntryKey{canonical, hashed.hash}, entry)
+                .first;
     }
-    {
-      std::lock_guard<std::mutex> owner_lock(owner_mu_);
-      slot_owner_[*slot] = canonical;
-    }
-    valid_count_.fetch_add(1, std::memory_order_relaxed);
-    inserts_.fetch_add(1, std::memory_order_relaxed);
+    record.stripe.store(&stripe, std::memory_order_release);
+    registry_.Add(*slot, canonical, deps);
+    ++stripe.counters.valid;
+    ++stripe.counters.inserts;
     {
       std::lock_guard<common::ContendedMutex> policy_lock(policy_mu_);
-      policy_->OnInsert(canonical);
+      policy_->OnInsert(*slot);
     }
   }
   // Checked after the publish: an update recorded before this check is
@@ -207,11 +256,11 @@ Result<DpcKey> CacheDirectory::Insert(const FragmentId& id,
   if (read_since != kNoReadSince &&
       registry_.UpdatedSince(read_since, deps)) {
     std::lock_guard<common::ContendedMutex> lock(stripe.mu);
-    auto it = stripe.entries.find(canonical);
+    auto it = stripe.entries.find(hashed);
     if (it != stripe.entries.end() && it->second.is_valid &&
         it->second.key == key) {
-      explicit_invalidations_.fetch_add(1, std::memory_order_relaxed);
-      InvalidateEntryLocked(canonical, it->second);
+      ++stripe.counters.explicit_invalidations;
+      InvalidateEntryLocked(stripe, it->second, SlotRelease::kBack);
     }
   }
   DYNAPROX_LOG(kDebug, "bem") << "insert " << canonical << " -> key " << key;
@@ -223,55 +272,46 @@ Status CacheDirectory::Invalidate(const FragmentId& id) {
 }
 
 Status CacheDirectory::InvalidateCanonical(const std::string& canonical) {
-  Stripe& stripe = StripeFor(canonical);
+  const HashedId hashed = Hashed(canonical);
+  Stripe& stripe = StripeOf(hashed);
   std::lock_guard<common::ContendedMutex> lock(stripe.mu);
-  auto it = stripe.entries.find(canonical);
+  auto it = stripe.entries.find(hashed);
   if (it == stripe.entries.end() || !it->second.is_valid) {
     return Status::NotFound("no valid entry: " + canonical);
   }
-  explicit_invalidations_.fetch_add(1, std::memory_order_relaxed);
-  InvalidateEntryLocked(canonical, it->second);
+  ++stripe.counters.explicit_invalidations;
+  InvalidateEntryLocked(stripe, it->second, SlotRelease::kBack);
   return Status::Ok();
 }
 
 Result<std::string> CacheDirectory::InvalidateKey(DpcKey key, bool pin_key) {
-  std::string owner;
-  {
-    std::lock_guard<std::mutex> owner_lock(owner_mu_);
-    owner = slot_owner_[SlotOf(key, capacity())];
-  }
-  if (owner.empty()) {
+  std::unique_lock<common::ContendedMutex> lock;
+  SlotEntry owner = LockSlotEntry(SlotOf(key, capacity()), lock);
+  if (owner.entry == nullptr) {
     return Status::NotFound("key has no owner: " + std::to_string(key));
   }
-  Stripe& stripe = StripeFor(owner);
-  std::lock_guard<common::ContendedMutex> lock(stripe.mu);
-  // Re-validate under the stripe lock: the owner record was read without
-  // it, and the slot may have been reassigned in between. A plain
-  // invalidation matches only the exact key. A refresh matches the slot's
-  // valid occupant under any generation: another refresh may have
+  // A plain invalidation matches only the exact key. A refresh matches the
+  // slot's valid occupant under any generation: another refresh may have
   // re-keyed the fragment the DPC asks about into the slot's next
   // generation, and only the slot's next SET can fill the DPC's hole.
-  auto it = stripe.entries.find(owner);
-  const bool matches =
-      it != stripe.entries.end() &&
-      (pin_key ? SlotOf(it->second.key, capacity()) == SlotOf(key, capacity())
-               : it->second.key == key);
-  if (!matches || !it->second.is_valid) {
+  Entry& entry = owner.entry->second;
+  if (!entry.is_valid || (!pin_key && entry.key != key)) {
     return Status::NotFound("key has no valid owner: " + std::to_string(key));
   }
-  explicit_invalidations_.fetch_add(1, std::memory_order_relaxed);
-  InvalidateEntryLocked(owner, it->second, pin_key);
-  return owner;
+  ++owner.stripe->counters.explicit_invalidations;
+  InvalidateEntryLocked(*owner.stripe, entry,
+                        pin_key ? SlotRelease::kFront : SlotRelease::kBack);
+  return owner.entry->first.canonical;
 }
 
 size_t CacheDirectory::InvalidateAll() {
   size_t count = 0;
   for (Stripe& stripe : stripes_) {
     std::lock_guard<common::ContendedMutex> lock(stripe.mu);
-    for (auto& [canonical, entry] : stripe.entries) {
+    for (auto& [id, entry] : stripe.entries) {
       if (!entry.is_valid) continue;
-      explicit_invalidations_.fetch_add(1, std::memory_order_relaxed);
-      InvalidateEntryLocked(canonical, entry);
+      ++stripe.counters.explicit_invalidations;
+      InvalidateEntryLocked(stripe, entry, SlotRelease::kBack);
       ++count;
     }
   }
@@ -282,10 +322,10 @@ size_t CacheDirectory::SweepExpired() {
   size_t count = 0;
   for (Stripe& stripe : stripes_) {
     std::lock_guard<common::ContendedMutex> lock(stripe.mu);
-    for (auto& [canonical, entry] : stripe.entries) {
+    for (auto& [id, entry] : stripe.entries) {
       if (!entry.is_valid || !Expired(entry)) continue;
-      ttl_invalidations_.fetch_add(1, std::memory_order_relaxed);
-      InvalidateEntryLocked(canonical, entry);
+      ++stripe.counters.ttl_invalidations;
+      InvalidateEntryLocked(stripe, entry, SlotRelease::kBack);
       ++count;
     }
   }
@@ -301,16 +341,26 @@ size_t CacheDirectory::entry_count() const {
   return count;
 }
 
+size_t CacheDirectory::valid_count() const {
+  size_t count = 0;
+  for (const Stripe& stripe : stripes_) {
+    std::lock_guard<common::ContendedMutex> lock(stripe.mu);
+    count += stripe.counters.valid;
+  }
+  return count;
+}
+
 DirectoryStats CacheDirectory::stats() const {
   DirectoryStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.inserts = inserts_.load(std::memory_order_relaxed);
-  stats.ttl_invalidations =
-      ttl_invalidations_.load(std::memory_order_relaxed);
-  stats.explicit_invalidations =
-      explicit_invalidations_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
+  for (const Stripe& stripe : stripes_) {
+    std::lock_guard<common::ContendedMutex> lock(stripe.mu);
+    stats.hits += stripe.counters.hits;
+    stats.misses += stripe.counters.misses;
+    stats.inserts += stripe.counters.inserts;
+    stats.ttl_invalidations += stripe.counters.ttl_invalidations;
+    stats.explicit_invalidations += stripe.counters.explicit_invalidations;
+    stats.evictions += stripe.counters.evictions;
+  }
   return stats;
 }
 
@@ -332,8 +382,8 @@ std::vector<CacheDirectory::EntryView> CacheDirectory::SnapshotEntries(
   MicroTime now = clock_->NowMicros();
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<common::ContendedMutex> lock(stripe.mu);
-    for (const auto& [canonical, entry] : stripe.entries) {
-      out.push_back({canonical, entry.key, entry.is_valid,
+    for (const auto& [id, entry] : stripe.entries) {
+      out.push_back({id.canonical, entry.key, entry.is_valid,
                      now - entry.inserted_at, entry.ttl_micros});
     }
   }
@@ -348,10 +398,11 @@ std::vector<CacheDirectory::EntryView> CacheDirectory::SnapshotEntries(
 }
 
 Result<DpcKey> CacheDirectory::KeyOf(const FragmentId& id) const {
-  std::string canonical = id.Canonical();
-  const Stripe& stripe = StripeFor(canonical);
+  const std::string canonical = id.Canonical();
+  const HashedId hashed = Hashed(canonical);
+  const Stripe& stripe = StripeOf(hashed);
   std::lock_guard<common::ContendedMutex> lock(stripe.mu);
-  auto it = stripe.entries.find(canonical);
+  auto it = stripe.entries.find(hashed);
   if (it == stripe.entries.end() || !it->second.is_valid) {
     return Status::NotFound("no valid entry: " + canonical);
   }

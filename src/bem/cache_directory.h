@@ -5,7 +5,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -60,14 +63,24 @@ struct DirectoryStats {
 // the slot's previous occupant can tell it from the new one. A slot's
 // first assignment keeps key == slot.
 //
+// Once a lookup has found a fragment's entry, its slot is the fragment's
+// handle: the replacement policy orders slots, the dependency registry
+// files dependencies under slots, and each slot records the entry
+// referencing it. An eviction keeps the slot it frees for
+// the insert that needed it, instead of passing it through the free list
+// where a concurrent insert could take it, and the evicted entry's map
+// node is reused for the incoming fragment.
+//
 // Lifecycle invariants (tested in cache_directory_test.cc, monitor_test.cc
 // and concurrency_test.cc):
-//  * Every slot in [0, capacity) is either on the free list or owned by
-//    exactly one VALID entry... with one paper-faithful subtlety: an
-//    INVALID entry keeps referencing its released slot until that slot is
-//    reassigned, at which point the stale entry is reclaimed. ("invalid
-//    fragments are not explicitly removed from the DPC; the slots simply
-//    remain unused until they are subsequently assigned to a new fragment")
+//  * Every slot in [0, capacity) is either on the free list, owned by
+//    exactly one VALID entry, or held by the one insert assigning it...
+//    with one paper-faithful subtlety: an INVALID entry keeps referencing
+//    its released slot until that slot is reassigned, at which point the
+//    stale entry is reclaimed. ("invalid fragments are not explicitly
+//    removed from the DPC; the slots simply remain unused until they are
+//    subsequently assigned to a new fragment") An evicted entry is
+//    reclaimed at once, because its slot is reassigned at once.
 //  * A valid entry <=> its dependencies are registered. Insert adds them
 //    when it publishes the entry; InvalidateEntryLocked, the one step every
 //    exit from validity runs through (eviction, TTL expiry, explicit and
@@ -83,11 +96,12 @@ struct DirectoryStats {
 // Thread-safe. The entry map is lock-striped kStripes ways by fragment id
 // (mirroring dpc::FragmentStore), so parallel block executions of one page
 // — and parallel pages on different ingress workers — don't serialize on
-// one directory mutex. Counters are relaxed atomics.
+// one directory mutex. Each stripe keeps its own counters under its lock;
+// stats() and valid_count() add them up.
 //
 // Lock hierarchy (deadlock discipline): a stripe mutex may be held while
-// taking the policy mutex, the slot-owner mutex, the dependency registry's
-// mutex, or the free list's internal mutex — all leaves. Nothing takes a
+// taking the policy mutex, the dependency registry's mutex, or the free
+// list's internal mutex — all leaves. Nothing takes a
 // stripe mutex while holding the registry mutex: a data-source update
 // reads DependencyRegistry::Affected first and invalidates after it
 // returns. No operation ever holds two stripe mutexes,
@@ -95,8 +109,11 @@ struct DirectoryStats {
 // of a stale slot owner) runs with no stripe mutex held, re-validating
 // under the target stripe's lock. The replacement policy stays one global
 // instance behind its own mutex so victim selection keeps the exact
-// sequential LRU/FIFO/CLOCK semantics the model tests and
-// bench/ablation_replacement pin down.
+// sequential LRU/FIFO/CLOCK semantics the model tests (the golden churn
+// traces in directory_model_test.cc) and bench/ablation_replacement pin
+// down. An eviction picks its victim and has the policy forget it under
+// one hold of that mutex, so concurrent evictions never pick the same
+// victim.
 class CacheDirectory {
  public:
   static constexpr size_t kStripes = 16;
@@ -114,7 +131,7 @@ class CacheDirectory {
   // Registers `id` as cached with the data-source dependencies `deps` and
   // returns its new dpcKey, one generation past the slot's previous key.
   // If every slot is taken, evicts a victim chosen by the replacement
-  // policy. Re-inserting a currently-valid
+  // policy and takes the victim's slot. Re-inserting a currently-valid
   // fragment first invalidates it (fresh key, and `deps` replace its old
   // dependencies), matching the paper's miss-path ("an entry is inserted
   // into the cache directory").
@@ -169,9 +186,7 @@ class CacheDirectory {
   // Introspection. capacity() is the slot count.
   DpcKey capacity() const { return free_list_.capacity(); }
   size_t entry_count() const;
-  size_t valid_count() const {
-    return valid_count_.load(std::memory_order_relaxed);
-  }
+  size_t valid_count() const;
   // Slots on the free list (the paper's free dpcKeys).
   size_t free_key_count() const { return free_list_.free_count(); }
   DirectoryStats stats() const;
@@ -213,28 +228,109 @@ class CacheDirectory {
     MicroTime inserted_at;
   };
 
-  struct Stripe {
-    mutable common::ContendedMutex mu;
-    std::unordered_map<std::string, Entry> entries;  // Guarded by mu.
+  // A canonical fragment id with its hash, computed once per call: the
+  // hash picks the stripe and is the stripe map's hash too.
+  struct HashedId {
+    std::string_view canonical;
+    size_t hash;
+  };
+  static HashedId Hashed(std::string_view canonical) {
+    return {canonical, std::hash<std::string_view>{}(canonical)};
+  }
+  struct EntryKey {
+    std::string canonical;
+    size_t hash;
+    operator HashedId() const { return {canonical, hash}; }
+  };
+  struct EntryKeyHash {
+    using is_transparent = void;
+    size_t operator()(HashedId id) const noexcept { return id.hash; }
+  };
+  struct EntryKeyEq {
+    using is_transparent = void;
+    bool operator()(HashedId a, HashedId b) const {
+      return a.hash == b.hash && a.canonical == b.canonical;
+    }
+  };
+  using EntryMap =
+      std::unordered_map<EntryKey, Entry, EntryKeyHash, EntryKeyEq>;
+  // A map node out of any map: an entry reclaimed from its slot, reused
+  // for the fragment the slot goes to next.
+  using EntryNode = EntryMap::node_type;
+
+  // DirectoryStats, plus the valid entries, per stripe: each is bumped
+  // under the stripe lock the operation already holds.
+  struct StripeCounters {
+    uint64_t valid = 0;
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t inserts = 0;
+    uint64_t ttl_invalidations = 0;
+    uint64_t explicit_invalidations = 0;
+    uint64_t evictions = 0;
   };
 
-  Stripe& StripeFor(const std::string& canonical) const {
-    return stripes_[std::hash<std::string>{}(canonical) % kStripes];
+  struct Stripe {
+    mutable common::ContendedMutex mu;
+    EntryMap entries;         // Guarded by mu.
+    StripeCounters counters;  // Guarded by mu.
+  };
+
+  Stripe& StripeOf(HashedId id) const {
+    return stripes_[id.hash % kStripes];
   }
 
+  // Where an invalidated entry's slot goes: to the back of the free list,
+  // to its front (a refresh pin), or nowhere (an eviction keeps it).
+  enum class SlotRelease { kBack, kFront, kKeep };
+
+  // Per slot: the entry referencing it, if any, and the generation of its
+  // next assignment. A record goes from empty to (stripe, entry) only in
+  // the publish of the insert holding the slot, under that stripe's
+  // mutex, and back to empty only under the same mutex; so once a reader
+  // holds the stripe the record names, and the record still names it,
+  // the entry pointer is stable (map nodes do not move).
+  struct SlotRecord {
+    std::atomic<Stripe*> stripe{nullptr};
+    EntryMap::value_type* entry = nullptr;  // Guarded by stripe->mu.
+    // Read and bumped only by the thread holding the slot; the free
+    // list's mutex, or the victim's stripe mutex, orders successive
+    // holders.
+    DpcKey next_generation = 0;
+  };
+  // An entry referencing a slot, with the stripe holding it.
+  struct SlotEntry {
+    Stripe* stripe = nullptr;
+    EntryMap::value_type* entry = nullptr;
+  };
+
   bool Expired(const Entry& entry) const;
-  // Shared invalidation: flips the flag, drops the dependencies, releases
-  // the slot, updates policy. Caller holds the entry's stripe mutex.
-  // `pin_key` releases to the front of the free list (refresh reuse).
-  void InvalidateEntryLocked(const std::string& canonical, Entry& entry,
-                             bool pin_key = false);
+  // Shared invalidation: flips the flag, drops the dependencies and the
+  // policy's record, and releases the slot as `release` says. Caller
+  // holds `stripe`'s mutex, the stripe holding `entry`.
+  void InvalidateEntryLocked(Stripe& stripe, Entry& entry,
+                             SlotRelease release);
+  // Locks the stripe holding the entry that references `slot` into
+  // `lock` and returns both; no entry, and no lock taken, if none.
+  // Caller must hold NO stripe lock.
+  SlotEntry LockSlotEntry(DpcKey slot,
+                          std::unique_lock<common::ContendedMutex>& lock);
+  // Empties `slot`'s record, whose stripe mutex the caller holds.
+  void ClearSlotLocked(DpcKey slot);
+  // Takes the entry referencing `slot` out of its stripe's map: the
+  // record is emptied, and the node returned for reuse. Caller holds
+  // the stripe's mutex.
+  EntryNode TakeSlotEntryLocked(DpcKey slot, SlotEntry owner);
   // Reclaims the stale invalid entry (if any) that still references
-  // `slot`. Takes the owner's stripe lock itself; caller must hold NO
+  // `slot`, which the caller holds, and returns its node. Takes the
+  // owner's stripe lock itself; caller must hold NO stripe lock.
+  EntryNode ReclaimSlotOwner(DpcKey slot);
+  // Evicts a policy victim and returns its slot, which the caller now
+  // holds, with the victim's node in `node`. CapacityExceeded when the
+  // policy has no candidates; NotFound when the victim stopped being
+  // valid first (its slot went to the free list). Caller must hold NO
   // stripe lock.
-  void ReclaimSlotOwner(DpcKey slot);
-  // Frees one slot by evicting a policy victim. CapacityExceeded when the
-  // policy has no candidates. Caller must hold NO stripe lock.
-  Status EvictOne();
+  Result<DpcKey> EvictOne(EntryNode& node);
 
   const Clock* clock_;
   std::unique_ptr<ReplacementPolicy> policy_;  // Guarded by policy_mu_.
@@ -243,23 +339,7 @@ class CacheDirectory {
   // Written only under the stripe lock of the fragment concerned.
   DependencyRegistry registry_;  // Internally synchronized.
   mutable std::array<Stripe, kStripes> stripes_;
-  // slot -> canonical fragment id of the entry referencing it ("" if
-  // none). Guarded by owner_mu_ (leaf lock; element s is only rewritten by
-  // the thread that currently holds slot s out of the free list).
-  mutable std::mutex owner_mu_;
-  std::vector<std::string> slot_owner_;
-  // slot -> generation of its next assignment. Element s is read and
-  // bumped only by the thread holding slot s out of the free list, whose
-  // mutex orders successive holders.
-  std::vector<DpcKey> next_generation_;
-
-  std::atomic<size_t> valid_count_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> inserts_{0};
-  std::atomic<uint64_t> ttl_invalidations_{0};
-  std::atomic<uint64_t> explicit_invalidations_{0};
-  std::atomic<uint64_t> evictions_{0};
+  std::unique_ptr<SlotRecord[]> slots_;  // One per slot.
   std::atomic<uint64_t> insert_races_{0};
 };
 

@@ -1,64 +1,90 @@
 #include "bem/dependency_registry.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace dynaprox::bem {
 namespace {
 
 // The invalidation rule: whether `event` touches a dependency on
 // (`table`, `row_key`), an empty `row_key` naming the whole table.
-bool Touches(const storage::UpdateEvent& event, const std::string& table,
-             const std::string& row_key) {
+bool Touches(const storage::UpdateEvent& event, std::string_view table,
+             std::string_view row_key) {
   return table == event.table &&
          (row_key.empty() || (!event.key.empty() && row_key == event.key));
 }
 
 }  // namespace
 
-void DependencyRegistry::Add(const std::string& canonical,
-                             const std::string& table,
-                             const std::string& row_key) {
+void DependencyRegistry::Add(DpcKey slot, std::string_view canonical,
+                             const DependencyList& deps) {
+  if (deps.empty()) return;
   std::lock_guard<common::ContendedMutex> lock(mu_);
-  if (by_source_[table][row_key].insert(canonical).second) {
-    by_fragment_[canonical].push_back(Dep{table, row_key});
+  if (slot >= slots_.size()) slots_.resize(slot + 1);
+  SlotRecord& record = slots_[slot];
+  assert(record.edges.empty());
+  for (const auto& [table, row_key] : deps) {
+    auto it = sources_.find(SourceView{table, row_key});
+    if (it == sources_.end()) {
+      it = sources_.try_emplace(SourceKey{table, row_key}).first;
+    } else if (it->second.empty()) {
+      --empty_sources_;
+    } else if (std::any_of(record.edges.begin(), record.edges.end(),
+                           [&](const Edge& edge) {
+                             return edge.source == &*it;
+                           })) {
+      continue;  // Listed twice.
+    }
+    it->second.push_back({slot, record.edges.size()});
+    record.edges.push_back({&*it, it->second.size() - 1});
   }
+  record.canonical.assign(canonical);
+  ++fragments_;
 }
 
-void DependencyRegistry::RemoveFragment(const std::string& canonical) {
+void DependencyRegistry::Remove(DpcKey slot) {
   std::lock_guard<common::ContendedMutex> lock(mu_);
-  auto it = by_fragment_.find(canonical);
-  if (it == by_fragment_.end()) return;
-  for (const Dep& dep : it->second) {
-    auto table_it = by_source_.find(dep.table);
-    if (table_it == by_source_.end()) continue;
-    auto row_it = table_it->second.find(dep.row_key);
-    if (row_it == table_it->second.end()) continue;
-    row_it->second.erase(canonical);
-    if (row_it->second.empty()) table_it->second.erase(row_it);
-    if (table_it->second.empty()) by_source_.erase(table_it);
+  if (slot >= slots_.size() || slots_[slot].edges.empty()) return;
+  for (const Edge& edge : slots_[slot].edges) {
+    // Swap-remove the slot from the source's dependents.
+    std::vector<Dependent>& dependents = edge.source->second;
+    const Dependent moved = dependents.back();
+    dependents[edge.position] = moved;
+    slots_[moved.slot].edges[moved.edge].position = edge.position;
+    dependents.pop_back();
+    if (dependents.empty()) ++empty_sources_;
   }
-  by_fragment_.erase(it);
+  slots_[slot].edges.clear();
+  --fragments_;
+  if (empty_sources_ > slots_.size()) {
+    std::erase_if(sources_,
+                  [](const auto& source) { return source.second.empty(); });
+    empty_sources_ = 0;
+  }
 }
 
 std::vector<std::string> DependencyRegistry::Affected(
     const storage::UpdateEvent& event) const {
   std::lock_guard<common::ContendedMutex> lock(mu_);
-  std::vector<std::string> result;
-  auto table_it = by_source_.find(event.table);
-  if (table_it == by_source_.end()) return {};
-  // Only the table-level bucket and the event's row bucket can hold
+  std::vector<DpcKey> slots;
+  // Only the table-level source and the event's row source can hold
   // dependents the event Touches.
-  for (const std::string& row_key : {std::string(), event.key}) {
+  for (std::string_view row_key : {std::string_view(), std::string_view(event.key)}) {
     if (!Touches(event, event.table, row_key)) continue;
-    if (auto row_it = table_it->second.find(row_key);
-        row_it != table_it->second.end()) {
-      result.insert(result.end(), row_it->second.begin(), row_it->second.end());
+    if (auto it = sources_.find(SourceView{event.table, row_key});
+        it != sources_.end()) {
+      for (const Dependent& dependent : it->second) {
+        slots.push_back(dependent.slot);
+      }
     }
   }
-  // A fragment with both a table and a row dependency appears twice, and
-  // the sets' hash order is not an order callers may see.
+  // A slot with both a table and a row dependency appears twice.
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  std::vector<std::string> result;
+  result.reserve(slots.size());
+  for (DpcKey slot : slots) result.push_back(slots_[slot].canonical);
   std::sort(result.begin(), result.end());
-  result.erase(std::unique(result.begin(), result.end()), result.end());
   return result;
 }
 

@@ -2,43 +2,49 @@
 
 namespace dynaprox::bem {
 
-FreeList::FreeList(DpcKey capacity) : capacity_(capacity) {
-  for (DpcKey slot = 0; slot < capacity; ++slot) list_.push_back(slot);
+FreeList::FreeList(DpcKey capacity)
+    : capacity_(capacity), ring_(capacity), size_(capacity) {
+  for (DpcKey slot = 0; slot < capacity; ++slot) ring_[slot] = slot;
 }
 
-Result<DpcKey> FreeList::Allocate() {
+std::optional<DpcKey> FreeList::Allocate() {
+  if (size_.load(std::memory_order_relaxed) == 0) return std::nullopt;
   std::lock_guard<common::ContendedMutex> lock(mu_);
-  if (list_.empty()) {
-    return Status::CapacityExceeded("free list exhausted");
-  }
-  DpcKey slot = list_.front();
-  list_.pop_front();
+  const size_t size = size_.load(std::memory_order_relaxed);
+  if (size == 0) return std::nullopt;
+  DpcKey slot = ring_[head_];
+  head_ = (head_ + 1) % capacity_;
+  size_.store(size - 1, std::memory_order_relaxed);
   return slot;
 }
 
-Status FreeList::Release(DpcKey slot) {
+Status FreeList::CheckRelease(DpcKey slot) const {
   if (slot >= capacity_) {
     return Status::InvalidArgument("slot out of range: " +
                                    std::to_string(slot));
   }
-  std::lock_guard<common::ContendedMutex> lock(mu_);
-  if (list_.size() >= capacity_) {
+  if (size_.load(std::memory_order_relaxed) >= capacity_) {
     return Status::FailedPrecondition("free list already full");
   }
-  list_.push_back(slot);
+  return Status::Ok();
+}
+
+Status FreeList::Release(DpcKey slot) {
+  std::lock_guard<common::ContendedMutex> lock(mu_);
+  DYNAPROX_RETURN_IF_ERROR(CheckRelease(slot));
+  const size_t size = size_.load(std::memory_order_relaxed);
+  ring_[(head_ + size) % capacity_] = slot;
+  size_.store(size + 1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
 Status FreeList::ReleaseFront(DpcKey slot) {
-  if (slot >= capacity_) {
-    return Status::InvalidArgument("slot out of range: " +
-                                   std::to_string(slot));
-  }
   std::lock_guard<common::ContendedMutex> lock(mu_);
-  if (list_.size() >= capacity_) {
-    return Status::FailedPrecondition("free list already full");
-  }
-  list_.push_front(slot);
+  DYNAPROX_RETURN_IF_ERROR(CheckRelease(slot));
+  head_ = (head_ + capacity_ - 1) % capacity_;
+  ring_[head_] = slot;
+  size_.store(size_.load(std::memory_order_relaxed) + 1,
+              std::memory_order_relaxed);
   return Status::Ok();
 }
 

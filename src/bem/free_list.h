@@ -1,8 +1,10 @@
 #ifndef DYNAPROX_BEM_FREE_LIST_H_
 #define DYNAPROX_BEM_FREE_LIST_H_
 
-#include <deque>
+#include <atomic>
 #include <mutex>
+#include <optional>
+#include <vector>
 
 #include "bem/types.h"
 #include "common/contended_mutex.h"
@@ -21,8 +23,11 @@ namespace dynaprox::bem {
 // Paper requirement: "the size of the freeList should be at least as large
 // as the maximum cache size" — enforced: Release on a full list fails.
 //
-// Thread-safe: one internal mutex serializes the deque operations — they
-// are O(1) pointer moves, so the critical section is tiny. The mutex
+// The list is a ring over a fixed array of `capacity` slots, so it never
+// allocates after construction.
+//
+// Thread-safe: one internal mutex serializes the ring operations — they
+// are O(1) index moves, so the critical section is tiny. The mutex
 // counts contended acquisitions (contentions()) because the free list is
 // the one structure every parallel Insert still shares after the
 // directory went stripe-locked; the counter shows whether it becomes the
@@ -32,8 +37,9 @@ class FreeList {
   // Fills the list with slots 0..capacity-1.
   explicit FreeList(DpcKey capacity);
 
-  // Pops the oldest free slot; CapacityExceeded when none are free.
-  Result<DpcKey> Allocate();
+  // Pops the oldest free slot; nullopt when none is free (a full
+  // directory's every evicting insert asks first).
+  std::optional<DpcKey> Allocate();
 
   // Returns `slot` to the tail. Fails on out-of-range slots and when the
   // list is already full (double release).
@@ -46,10 +52,7 @@ class FreeList {
   // `GET key` there.
   Status ReleaseFront(DpcKey slot);
 
-  size_t free_count() const {
-    std::lock_guard<common::ContendedMutex> lock(mu_);
-    return list_.size();
-  }
+  size_t free_count() const { return size_.load(std::memory_order_relaxed); }
   DpcKey capacity() const { return capacity_; }
   bool empty() const { return free_count() == 0; }
 
@@ -57,9 +60,17 @@ class FreeList {
   uint64_t contentions() const { return mu_.contended_acquisitions(); }
 
  private:
+  // Checks `slot` for a release; caller holds mu_.
+  Status CheckRelease(DpcKey slot) const;
+
   const DpcKey capacity_;
   mutable common::ContendedMutex mu_;
-  std::deque<DpcKey> list_;  // Slots; guarded by mu_.
+  // The free slots are ring_[head_], ring_[head_ + 1], ... (mod capacity),
+  // size_ of them, oldest first. Guarded by mu_; size_ is also read
+  // without it, so an empty list answers Allocate without locking.
+  std::vector<DpcKey> ring_;
+  size_t head_ = 0;
+  std::atomic<size_t> size_;
 };
 
 }  // namespace dynaprox::bem

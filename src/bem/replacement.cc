@@ -1,83 +1,91 @@
 #include "bem/replacement.h"
 
+#include <string>
+
 namespace dynaprox::bem {
+namespace {
 
-void LruPolicy::Touch(const std::string& fragment_id) {
-  auto it = index_.find(fragment_id);
-  if (it != index_.end()) {
-    order_.splice(order_.begin(), order_, it->second);
-    return;
-  }
-  order_.push_front(fragment_id);
-  index_.emplace(fragment_id, order_.begin());
+Status NoCandidates() {
+  return Status::FailedPrecondition("no replacement candidates");
 }
 
-void LruPolicy::OnInsert(const std::string& fragment_id) {
-  Touch(fragment_id);
+}  // namespace
+
+SlotList::Links& SlotList::LinksOf(DpcKey slot) {
+  if (slot >= links_.size()) links_.resize(slot + 1);
+  return links_[slot];
 }
 
-void LruPolicy::OnAccess(const std::string& fragment_id) {
-  Touch(fragment_id);
+void SlotList::PushFront(DpcKey slot) {
+  Links& links = LinksOf(slot);
+  links = {kNone, head_, true};
+  if (head_ != kNone) links_[head_].prev = slot;
+  head_ = slot;
+  if (tail_ == kNone) tail_ = slot;
 }
 
-void LruPolicy::OnRemove(const std::string& fragment_id) {
-  auto it = index_.find(fragment_id);
-  if (it == index_.end()) return;
-  order_.erase(it->second);
-  index_.erase(it);
+void SlotList::PushBack(DpcKey slot) {
+  Links& links = LinksOf(slot);
+  links = {tail_, kNone, true};
+  if (tail_ != kNone) links_[tail_].next = slot;
+  tail_ = slot;
+  if (head_ == kNone) head_ = slot;
 }
 
-Result<std::string> LruPolicy::PickVictim() {
-  if (order_.empty()) {
-    return Status::FailedPrecondition("no replacement candidates");
-  }
+void SlotList::Erase(DpcKey slot) {
+  if (!contains(slot)) return;
+  Links& links = links_[slot];
+  (links.prev == kNone ? head_ : links_[links.prev].next) = links.next;
+  (links.next == kNone ? tail_ : links_[links.next].prev) = links.prev;
+  links = Links{};
+}
+
+void LruPolicy::Touch(DpcKey slot) {
+  order_.Erase(slot);
+  order_.PushFront(slot);
+}
+
+void LruPolicy::OnAccess(DpcKey slot) {
+  if (order_.contains(slot)) Touch(slot);
+}
+
+Result<DpcKey> LruPolicy::PickVictim() {
+  if (order_.empty()) return NoCandidates();
   return order_.back();
 }
 
-void FifoPolicy::OnInsert(const std::string& fragment_id) {
-  if (index_.find(fragment_id) != index_.end()) return;  // Re-insert: keep age.
-  order_.push_back(fragment_id);
-  index_.emplace(fragment_id, std::prev(order_.end()));
+void FifoPolicy::OnInsert(DpcKey slot) {
+  if (order_.contains(slot)) return;  // Re-insert: keep age.
+  order_.PushBack(slot);
 }
 
-void FifoPolicy::OnRemove(const std::string& fragment_id) {
-  auto it = index_.find(fragment_id);
-  if (it == index_.end()) return;
-  order_.erase(it->second);
-  index_.erase(it);
-}
-
-Result<std::string> FifoPolicy::PickVictim() {
-  if (order_.empty()) {
-    return Status::FailedPrecondition("no replacement candidates");
-  }
+Result<DpcKey> FifoPolicy::PickVictim() {
+  if (order_.empty()) return NoCandidates();
   return order_.front();
 }
 
-void ClockPolicy::OnInsert(const std::string& fragment_id) {
-  auto it = index_.find(fragment_id);
-  if (it != index_.end()) {
-    ring_[it->second].referenced = true;
+void ClockPolicy::OnInsert(DpcKey slot) {
+  if (tracked(slot)) {
+    ring_[position_[slot]].referenced = true;
     return;
   }
-  index_.emplace(fragment_id, ring_.size());
-  ring_.push_back({fragment_id, true});
+  if (slot >= position_.size()) position_.resize(slot + 1, kUntracked);
+  position_[slot] = ring_.size();
+  ring_.push_back({slot, true});
 }
 
-void ClockPolicy::OnAccess(const std::string& fragment_id) {
-  auto it = index_.find(fragment_id);
-  if (it != index_.end()) ring_[it->second].referenced = true;
+void ClockPolicy::OnAccess(DpcKey slot) {
+  if (tracked(slot)) ring_[position_[slot]].referenced = true;
 }
 
-void ClockPolicy::OnRemove(const std::string& fragment_id) {
-  auto it = index_.find(fragment_id);
-  if (it == index_.end()) return;
-  size_t slot = it->second;
-  index_.erase(it);
+void ClockPolicy::OnRemove(DpcKey slot) {
+  if (!tracked(slot)) return;
+  const size_t at = position_[slot];
+  position_[slot] = kUntracked;
   // Swap-remove to keep the ring dense.
-  if (slot != ring_.size() - 1) {
-    ring_[slot] = std::move(ring_.back());
-    index_[ring_[slot].fragment_id] = slot;
+  if (at != ring_.size() - 1) {
+    ring_[at] = ring_.back();
+    position_[ring_[at].slot] = at;
   }
   ring_.pop_back();
   if (ring_.empty()) {
@@ -87,22 +95,17 @@ void ClockPolicy::OnRemove(const std::string& fragment_id) {
   }
 }
 
-Result<std::string> ClockPolicy::PickVictim() {
-  if (ring_.empty()) {
-    return Status::FailedPrecondition("no replacement candidates");
-  }
+Result<DpcKey> ClockPolicy::PickVictim() {
+  if (ring_.empty()) return NoCandidates();
   // At most two sweeps: the first clears reference bits, the second must
   // find an unreferenced entry.
   for (size_t step = 0; step < 2 * ring_.size(); ++step) {
     Entry& entry = ring_[hand_];
-    if (entry.referenced) {
-      entry.referenced = false;
-      hand_ = (hand_ + 1) % ring_.size();
-    } else {
-      return entry.fragment_id;
-    }
+    if (!entry.referenced) return entry.slot;
+    entry.referenced = false;
+    hand_ = (hand_ + 1) % ring_.size();
   }
-  return ring_[hand_].fragment_id;
+  return ring_[hand_].slot;
 }
 
 Result<std::unique_ptr<ReplacementPolicy>> MakeReplacementPolicy(

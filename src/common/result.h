@@ -13,7 +13,7 @@ namespace dynaprox {
 // value-or-error return type (Arrow-style).
 //
 // Usage:
-//   Result<DpcKey> key = free_list.Allocate();
+//   Result<DpcKey> key = directory.Insert(id, ttl_micros);
 //   if (!key.ok()) return key.status();
 //   Use(*key);
 template <typename T>

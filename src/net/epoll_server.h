@@ -66,10 +66,13 @@ namespace dynaprox::net {
 // always sum to the shared totals.
 class EpollServer {
  public:
-  // Most threads one event loop runs (see the class comment). Each added
-  // thread gets its own malloc arena, which stays resident; the
-  // measured trade against throughput is in docs/threading-model.md.
-  static constexpr int kMaxThreadsPerLoop = 2;
+  // Most threads one event loop runs (see the class comment): the
+  // default upstream pool size (ConnectionPoolOptions::max_connections),
+  // so a DPC loop overlaps as many upstream waits as its pool carries.
+  // Each added thread gets its own malloc arena, which stays resident;
+  // the measured trade against throughput and memory is in
+  // docs/threading-model.md.
+  static constexpr int kMaxThreadsPerLoop = 8;
 
   // `port` 0 picks an ephemeral port (see port() after Start()).
   EpollServer(Handler handler, uint16_t port = 0, int num_workers = 1,

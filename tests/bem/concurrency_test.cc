@@ -6,6 +6,7 @@
 // lost or duplicated across the free list and the directory.
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -99,6 +100,45 @@ TEST(BemConcurrencyTest, ConcurrentInsertsOfSameCanonicalKeepOneValidEntry) {
   EXPECT_LE(valid_canonicals.size(), 4u);
 }
 
+// Four origin threads missing at once on a full directory, with no
+// invalidations: every insert evicts, and the slot its eviction frees is
+// its own, so no insert loses it to another and goes round again.
+TEST(BemConcurrencyTest, EvictingInsertsNeverRaceForTheSlotsTheyFree) {
+  constexpr DpcKey kCapacity = 1024;
+  constexpr int kThreads = 4;
+  constexpr int kInsertsPerThread = 4000;
+  constexpr int kRows = 1600;
+  SimClock clock;
+  CacheDirectory dir(kCapacity, &clock, *MakeReplacementPolicy("lru"));
+  // Churn-shaped ids: "s<row>?v=<version>", each depending on its row.
+  auto insert = [&dir](int n) {
+    const std::string row = "s" + std::to_string(n % kRows);
+    return dir.Insert(FragmentId(row, {{"v", std::to_string(n / kRows)}}),
+                      0, {{"content", row}});
+  };
+  for (int n = 0; n < static_cast<int>(kCapacity); ++n) {
+    ASSERT_TRUE(insert(n).ok());
+  }
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kInsertsPerThread; ++i) {
+        // Distinct across threads, and never one already inserted.
+        const int n = static_cast<int>(kCapacity) + t * kInsertsPerThread + i;
+        if (!insert(n).ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(dir.concurrency_stats().insert_races, 0u);
+  EXPECT_EQ(dir.stats().evictions,
+            static_cast<uint64_t>(kThreads) * kInsertsPerThread);
+  EXPECT_EQ(dir.valid_count(), kCapacity);
+  CheckKeyInvariants(dir, kCapacity);
+}
+
 TEST(BemConcurrencyTest, FreeListNeverHandsOutAKeyTwice) {
   constexpr DpcKey kCapacity = 64;
   FreeList list(kCapacity);
@@ -110,8 +150,8 @@ TEST(BemConcurrencyTest, FreeListNeverHandsOutAKeyTwice) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 3000; ++i) {
-        Result<DpcKey> key = list.Allocate();
-        if (!key.ok()) continue;  // Transiently empty under contention.
+        std::optional<DpcKey> key = list.Allocate();
+        if (!key.has_value()) continue;  // Transiently empty under contention.
         int expected = -1;
         if (!owners[*key].compare_exchange_strong(expected, t)) {
           violation.store(true);  // Someone else already holds this key.

@@ -4,15 +4,19 @@
 // freeList recycling, stale-entry reclamation — far beyond the
 // example-based tests.
 
+#include <cstdint>
 #include <map>
+#include <ostream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bem/cache_directory.h"
 #include "common/clock.h"
 #include "common/rng.h"
+#include "storage/update_bus.h"
 
 namespace dynaprox::bem {
 namespace {
@@ -174,6 +178,141 @@ TEST_P(DirectoryModelTest, KeysNeverAliasAcrossValidFragments) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DirectoryModelTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
+
+// The directory's replacement behaviour, pinned by policy: a seeded
+// churn-shaped trace (capacity 1,024; fragments "s<row>?v=<version>" over
+// 1,600 rows, each depending on its row; half of the requests ask for a
+// new version; 2 % are data-source updates of a row) records, for every
+// insert, the fragment it evicted ("-" if none) and the key it assigned.
+// The goldens were recorded on a directory that tracked replacement order,
+// dependencies and slot owners by canonical string and evicted through the
+// free list: a change of victim, of victim order or of key assignment
+// shows here.
+struct ChurnTrace {
+  uint64_t inserts = 0;
+  uint64_t evictions = 0;
+  uint64_t digest = 14695981039346656037ull;  // FNV-1a over every line.
+  std::vector<std::string> first_evictions;   // The first four lines.
+};
+
+ChurnTrace RunChurnTrace(const char* policy) {
+  constexpr DpcKey kCapacity = 1024;
+  constexpr uint64_t kRows = 1600;
+  constexpr int kSteps = 40000;
+  Rng rng(7);
+  SimClock clock;
+  CacheDirectory directory(kCapacity, &clock, *MakeReplacementPolicy(policy));
+  std::vector<int> version(kRows, 0);
+  // What the trace believes valid, and each slot's last assignee.
+  std::map<std::string, FragmentId> live;
+  std::map<DpcKey, std::string> occupant;
+  ChurnTrace trace;
+  for (int step = 0; step < kSteps; ++step) {
+    const uint64_t row = rng.NextBounded(kRows);
+    const std::string row_key = "s" + std::to_string(row);
+    const uint64_t op = rng.NextBounded(100);
+    if (op < 2) {
+      const storage::UpdateEvent event{"content", row_key,
+                                       storage::UpdateKind::kUpdate};
+      directory.NoteUpdate(event);
+      for (const std::string& canonical :
+           directory.dependencies().Affected(event)) {
+        EXPECT_TRUE(directory.InvalidateCanonical(canonical).ok());
+        live.erase(canonical);
+      }
+      continue;
+    }
+    if (op < 51) ++version[row];
+    FragmentId id(row_key, {{"v", std::to_string(version[row])}});
+    if (directory.Lookup(id).hit()) continue;
+    const uint64_t evictions = directory.stats().evictions;
+    Result<DpcKey> key = directory.Insert(id, 0, {{"content", row_key}});
+    EXPECT_TRUE(key.ok()) << key.status().ToString();
+    if (!key.ok()) return trace;
+    const std::string canonical = id.Canonical();
+    std::string victim = "-";
+    if (directory.stats().evictions > evictions) {
+      // The victim stopped being valid; the slot's last assignee is the
+      // first suspect, every other live fragment the rest.
+      auto evicted = [&](const std::string& suspect) {
+        return suspect != canonical &&
+               !directory.KeyOf(live.at(suspect)).ok();
+      };
+      const std::string& assignee = occupant[SlotOf(*key, kCapacity)];
+      if (live.count(assignee) > 0 && evicted(assignee)) {
+        victim = assignee;
+      } else {
+        for (const auto& [name, fragment] : live) {
+          if (evicted(name)) {
+            victim = name;
+            break;
+          }
+        }
+      }
+      live.erase(victim);
+      ++trace.evictions;
+    }
+    live.insert_or_assign(canonical, id);
+    occupant[SlotOf(*key, kCapacity)] = canonical;
+    const std::string line = victim + " " + std::to_string(*key) + "\n";
+    for (unsigned char c : line) {
+      trace.digest = (trace.digest ^ c) * 1099511628211ull;
+    }
+    if (victim != "-" && trace.first_evictions.size() < 4) {
+      trace.first_evictions.push_back(line);
+    }
+    ++trace.inserts;
+  }
+  return trace;
+}
+
+struct GoldenTrace {
+  const char* policy;
+  uint64_t inserts;
+  uint64_t evictions;
+  uint64_t digest;
+  std::vector<std::string> first_evictions;
+};
+
+void PrintTo(const GoldenTrace& golden, std::ostream* os) {
+  *os << golden.policy;
+}
+
+class DirectoryGoldenTraceTest
+    : public ::testing::TestWithParam<GoldenTrace> {};
+
+TEST_P(DirectoryGoldenTraceTest, ChurnTraceKeepsItsVictimsAndKeys) {
+  const GoldenTrace& golden = GetParam();
+  ChurnTrace trace = RunChurnTrace(golden.policy);
+  std::string recorded = "{\"" + std::string(golden.policy) + "\", " +
+                         std::to_string(trace.inserts) + ", " +
+                         std::to_string(trace.evictions) + ", " +
+                         std::to_string(trace.digest) + "ull, {";
+  for (const std::string& line : trace.first_evictions) {
+    recorded += "\"" + line.substr(0, line.size() - 1) + "\\n\", ";
+  }
+  recorded += "}}";
+  EXPECT_EQ(trace.inserts, golden.inserts) << recorded;
+  EXPECT_EQ(trace.evictions, golden.evictions) << recorded;
+  EXPECT_EQ(trace.first_evictions, golden.first_evictions) << recorded;
+  EXPECT_EQ(trace.digest, golden.digest) << recorded;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, DirectoryGoldenTraceTest,
+    ::testing::Values(
+        GoldenTrace{"lru", 28919, 27418, 6261444556168306968ull,
+                    {"s674?v=1 1025\n", "s1041?v=1 1026\n",
+                     "s875?v=1 1027\n", "s495?v=1 1030\n"}},
+        GoldenTrace{"fifo", 29076, 27574, 7717128767456856487ull,
+                    {"s622?v=1 1024\n", "s674?v=1 1025\n",
+                     "s1041?v=1 1026\n", "s875?v=1 1027\n"}},
+        GoldenTrace{"clock", 28982, 27472, 14061661629716419715ull,
+                    {"s622?v=1 1024\n", "s1242?v=1 2722\n",
+                     "s674?v=1 1025\n", "s1041?v=1 1026\n"}}),
+    [](const ::testing::TestParamInfo<GoldenTrace>& info) {
+      return std::string(info.param.policy);
+    });
 
 }  // namespace
 }  // namespace dynaprox::bem

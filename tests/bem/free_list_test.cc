@@ -1,5 +1,7 @@
 #include "bem/free_list.h"
 
+#include <optional>
+
 #include <gtest/gtest.h>
 
 namespace dynaprox::bem {
@@ -10,8 +12,8 @@ TEST(FreeListTest, StartsFullWithSequentialKeys) {
   EXPECT_EQ(list.free_count(), 4u);
   EXPECT_EQ(list.capacity(), 4u);
   for (DpcKey expected = 0; expected < 4; ++expected) {
-    Result<DpcKey> key = list.Allocate();
-    ASSERT_TRUE(key.ok());
+    std::optional<DpcKey> key = list.Allocate();
+    ASSERT_TRUE(key.has_value());
     EXPECT_EQ(*key, expected);
   }
   EXPECT_TRUE(list.empty());
@@ -19,16 +21,14 @@ TEST(FreeListTest, StartsFullWithSequentialKeys) {
 
 TEST(FreeListTest, AllocateOnEmptyFails) {
   FreeList list(1);
-  ASSERT_TRUE(list.Allocate().ok());
-  Result<DpcKey> key = list.Allocate();
-  EXPECT_FALSE(key.ok());
-  EXPECT_TRUE(key.status().IsCapacityExceeded());
+  ASSERT_TRUE(list.Allocate().has_value());
+  EXPECT_FALSE(list.Allocate().has_value());
 }
 
 TEST(FreeListTest, ReleaseAppendsAtTailFifo) {
   FreeList list(3);
-  ASSERT_TRUE(list.Allocate().ok());  // 0
-  ASSERT_TRUE(list.Allocate().ok());  // 1
+  ASSERT_TRUE(list.Allocate().has_value());  // 0
+  ASSERT_TRUE(list.Allocate().has_value());  // 1
   ASSERT_TRUE(list.Release(0).ok());
   // Order now: 2 (never allocated), then released 0.
   EXPECT_EQ(*list.Allocate(), 2u);
@@ -37,7 +37,7 @@ TEST(FreeListTest, ReleaseAppendsAtTailFifo) {
 
 TEST(FreeListTest, ReleaseOutOfRangeFails) {
   FreeList list(2);
-  ASSERT_TRUE(list.Allocate().ok());
+  ASSERT_TRUE(list.Allocate().has_value());
   EXPECT_TRUE(list.Release(7).IsInvalidArgument());
 }
 
@@ -46,15 +46,15 @@ TEST(FreeListTest, ReleaseBeyondCapacityFails) {
   // double release would overflow that bound and is rejected.
   FreeList list(2);
   EXPECT_EQ(list.Release(0).code(), StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(list.Allocate().ok());
+  ASSERT_TRUE(list.Allocate().has_value());
   ASSERT_TRUE(list.Release(0).ok());
   EXPECT_EQ(list.Release(1).code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(FreeListTest, ReleaseFrontIsReusedByNextAllocate) {
   FreeList list(3);
-  ASSERT_TRUE(list.Allocate().ok());  // 0
-  ASSERT_TRUE(list.Allocate().ok());  // 1
+  ASSERT_TRUE(list.Allocate().has_value());  // 0
+  ASSERT_TRUE(list.Allocate().has_value());  // 1
   ASSERT_TRUE(list.ReleaseFront(1).ok());
   // The pinned key jumps ahead of the never-allocated 2.
   EXPECT_EQ(*list.Allocate(), 1u);
@@ -70,7 +70,7 @@ TEST(FreeListTest, ReleaseFrontRejectsBadKeys) {
 TEST(FreeListTest, ZeroCapacityAlwaysExhausted) {
   FreeList list(0);
   EXPECT_TRUE(list.empty());
-  EXPECT_FALSE(list.Allocate().ok());
+  EXPECT_FALSE(list.Allocate().has_value());
 }
 
 }  // namespace

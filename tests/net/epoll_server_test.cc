@@ -16,6 +16,7 @@
 
 #include "http/parser.h"
 #include "net/connection_pool.h"
+#include "fd_exhaustion.h"
 
 namespace dynaprox::net {
 namespace {
@@ -276,21 +277,10 @@ TEST(EpollServerTest, ConnectionCloseHeaderHonored) {
   server.Stop();
 }
 
-// Fills the fd table (after clamping RLIMIT_NOFILE so this stays fast),
-// returning the dummy fds that hold it full.
-std::vector<int> FillFdTable() {
-  std::vector<int> dummies;
-  for (;;) {
-    int fd = ::open("/dev/null", O_RDONLY);
-    if (fd < 0) break;
-    dummies.push_back(fd);
-  }
-  return dummies;
-}
-
 TEST(EpollServerTest, FdExhaustionIsCountedPerEpisode) {
   EpollServer server(EchoHandler);
   ASSERT_TRUE(server.Start().ok());
+  CheckTypesBeforeFillingTheFdTable(server.port());
 
   rlimit original{};
   ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &original), 0);

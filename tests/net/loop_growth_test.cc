@@ -5,6 +5,7 @@
 #include <chrono>
 #include <future>
 #include <mutex>
+#include <semaphore>
 #include <set>
 #include <thread>
 #include <vector>
@@ -204,11 +205,11 @@ TEST(LoopGrowthTest, DeadlineSweepSkipsAConnectionItsThreadServes) {
 }
 
 TEST(LoopGrowthTest, DeadlineSweepSkipsEventsWaitingInAnotherThreadsBatch) {
-  // Both threads are blocked while two requests queue up, so the first
-  // thread free takes both events in one batch and serves "/spin" (slow,
-  // outside any scope) first. The other thread's sweep must leave the
-  // "/fast" connection, whose request already arrived, to that batch
-  // instead of closing it as idle.
+  // Every thread the loop may run is blocked while two requests queue up,
+  // so the first thread free takes both events in one batch and serves
+  // "/spin" (slow, outside any scope) first. The other threads' sweeps
+  // must leave the "/fast" connection, whose request already arrived, to
+  // that batch instead of closing it as idle.
   ServerLimits limits;
   limits.idle_timeout_micros = 100 * kMicrosPerMilli;
   std::atomic<int> in_scope{0};
@@ -238,21 +239,73 @@ TEST(LoopGrowthTest, DeadlineSweepSkipsEventsWaitingInAnotherThreadsBatch) {
     }
     return done();
   };
-  auto long_wait = fetch("/wait-long");
-  ASSERT_TRUE(wait_for([&] { return in_scope.load() == 1; }));
-  auto short_wait = fetch("/wait-short");
-  ASSERT_TRUE(wait_for([&] { return in_scope.load() == 2; }));
-  auto spin = fetch("/spin");
+  constexpr int kCap = EpollServer::kMaxThreadsPerLoop;
+  std::vector<std::future<Result<http::Response>>> pending;
+  for (int i = 1; i < kCap; ++i) {
+    pending.push_back(fetch("/wait-long"));
+    ASSERT_TRUE(wait_for([&] { return in_scope.load() == i; }));
+  }
+  pending.push_back(fetch("/wait-short"));
+  ASSERT_TRUE(wait_for([&] { return in_scope.load() == kCap; }));
+  pending.push_back(fetch("/spin"));
   std::this_thread::sleep_for(milliseconds(10));
-  auto fast = fetch("/fast");
+  pending.push_back(fetch("/fast"));
 
-  for (auto* pending : {&long_wait, &short_wait, &spin, &fast}) {
-    Result<http::Response> response = pending->get();
+  for (auto& response_future : pending) {
+    Result<http::Response> response = response_future.get();
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_EQ(response->body, "ok");
   }
   // Answered on its first connection, not retried on a second.
-  EXPECT_EQ(server.connections_accepted(), 4u);
+  EXPECT_EQ(server.connections_accepted(), static_cast<uint64_t>(kCap + 2));
+  server.Stop();
+}
+
+TEST(LoopGrowthTest, GrowsToTheCapAndNoFurther) {
+  // Two more connections than the cap, each with a handler that waits in
+  // a scope until it gets a permit: the loop grows to the cap, the last
+  // two wait for a thread, and one permit lets one of them be served.
+  constexpr int kCap = EpollServer::kMaxThreadsPerLoop;
+  std::counting_semaphore<> permits(0);
+  std::atomic<int> entered{0};
+  EpollServer server(
+      [&](const http::Request&) {
+        BlockingScope blocking;
+        entered.fetch_add(1);
+        permits.acquire();
+        return http::Response::MakeOk("ok");
+      },
+      0, /*num_workers=*/1);
+  ASSERT_TRUE(server.Start().ok());
+  auto entered_reaches = [&](int count) {
+    for (int i = 0; i < 2000 && entered.load() < count; ++i) {
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+    return entered.load() == count;
+  };
+  std::vector<std::future<Result<http::Response>>> pending;
+  for (int i = 0; i < kCap + 2; ++i) {
+    pending.push_back(std::async(std::launch::async, [&server] {
+      return Fetch(server.port(), "/block");
+    }));
+  }
+  ASSERT_TRUE(entered_reaches(kCap));
+  // Time for a loop that wrongly grows past the cap to do so.
+  std::this_thread::sleep_for(milliseconds(100));
+  EXPECT_EQ(entered.load(), kCap);
+  EXPECT_EQ(server.thread_count(), kCap);
+
+  permits.release(1);
+  ASSERT_TRUE(entered_reaches(kCap + 1));
+  EXPECT_EQ(server.thread_count(), kCap);
+
+  permits.release(kCap + 1);
+  for (auto& response_future : pending) {
+    Result<http::Response> response = response_future.get();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->body, "ok");
+  }
+  EXPECT_EQ(server.thread_count(), kCap);
   server.Stop();
 }
 

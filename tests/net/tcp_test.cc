@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "net/connection_pool.h"
+#include "fd_exhaustion.h"
 
 namespace dynaprox::net {
 namespace {
@@ -108,21 +109,10 @@ TEST(TcpTest, ConnectionThreadHandlesAreReapedEagerly) {
   server.Stop();
 }
 
-// Fills the fd table (after clamping RLIMIT_NOFILE so this stays fast),
-// returning the dummy fds that hold it full.
-std::vector<int> FillFdTable() {
-  std::vector<int> dummies;
-  for (;;) {
-    int fd = ::open("/dev/null", O_RDONLY);
-    if (fd < 0) break;
-    dummies.push_back(fd);
-  }
-  return dummies;
-}
-
 TEST(TcpTest, FdExhaustionIsCountedPerEpisode) {
   TcpServer server(EchoHandler);
   ASSERT_TRUE(server.Start().ok());
+  CheckTypesBeforeFillingTheFdTable(server.port());
 
   rlimit original{};
   ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &original), 0);
